@@ -1,9 +1,10 @@
 """Analysis-cache warm-vs-cold speedup (tentpole acceptance check).
 
 Cold: empty cache — full symbol-table refinement, per-routine CFG
-construction, liveness, indirect-jump slicing, plus the summary store.
-Warm: the same binary again — one content hash, one EELA blob read, and
-per-routine restores; no refinement or analysis work at all.
+construction, liveness, indirect-jump slicing, plus deriving every fact
+and storing the fact table.  Warm: the same binary again — one content
+hash, one EELA blob read, and per-routine restores from the loaded fact
+store; no refinement or analysis work at all.
 
 The workload is ``interp`` (the largest: 20 routines and a dispatch
 table), so the measured ratio is the one a tool like qpt2 would see
@@ -20,10 +21,10 @@ WORKLOAD = "interp"
 TARGET_SPEEDUP = 2.0
 
 
-def _analyze(image, jobs=1):
+def _analyze(image):
     """The full front half of the edit pipeline: refined routines with
     CFGs and liveness ready for instrumentation."""
-    exe = Executable(image).read_contents(jobs=jobs)
+    exe = Executable(image).read_contents()
     for routine in exe.all_routines():
         routine.control_flow_graph().live_registers()
     return exe

@@ -42,6 +42,10 @@ class FormatError(Exception):
     """Malformed EELF file."""
 
 
+class StaleVersionError(FormatError):
+    """An EELA blob written under another ``ANALYSIS_VERSION``."""
+
+
 def _pack_str(text):
     raw = text.encode("utf-8")
     return struct.pack(">H", len(raw)) + raw
@@ -72,7 +76,10 @@ class _Reader:
         return struct.unpack(">i", self.take(4))[0]
 
     def string(self):
-        return self.take(self.u16()).decode("utf-8")
+        try:
+            return self.take(self.u16()).decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise FormatError("bad string in EELF file: %s" % error) from None
 
 
 def image_to_bytes(image):
@@ -117,7 +124,8 @@ def image_to_bytes(image):
 
 
 def image_from_bytes(blob):
-    """Parse EELF bytes into an :class:`Image`."""
+    """Parse EELF bytes into an :class:`Image`; malformed input raises
+    :class:`FormatError` and nothing else."""
     reader = _Reader(blob)
     if reader.take(4) != MAGIC:
         raise FormatError("bad magic; not an EELF file")
@@ -158,6 +166,8 @@ def image_from_bytes(blob):
             section_name, Relocation(offset, reloc_kind, symbol, addend)
         )
     for name, vaddr, size, flags in headers:
+        if name in image.sections:
+            raise FormatError("duplicate section %r" % name)
         section = Section(name, vaddr=vaddr, flags=flags)
         if flags & SEC_NOBITS:
             section.nobits_size = size
@@ -187,7 +197,7 @@ def analysis_from_bytes(blob):
         raise FormatError("truncated EELA analysis blob")
     (version,) = struct.unpack(">H", blob[4:6])
     if version != ANALYSIS_VERSION:
-        raise FormatError("unsupported EELA version %d" % version)
+        raise StaleVersionError("unsupported EELA version %d" % version)
     try:
         payload = zlib.decompress(blob[6:])
         return json.loads(payload.decode("utf-8"))

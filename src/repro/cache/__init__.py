@@ -2,10 +2,16 @@
 
 EEL's analyses — symbol-table refinement, per-routine CFGs with
 delay-slot normalization, liveness, indirect-jump slicing — depend only
-on the executable's bytes.  This package keys their results by a hash
-of those bytes plus an analysis-version tag and persists them on disk,
-so a second edit/instrument/run of the same binary skips straight to
-layout.
+on the executable's bytes, and their results live in one place: the
+executable's fact store (:mod:`repro.core.facts`).  This package keys a
+snapshot of that store by a hash of the bytes plus an analysis-version
+tag and persists it on disk, so a second edit/instrument/run of the
+same binary loads the store instead of re-deriving it.
+
+* cold path: ``rules.populate`` derives every fact kind, and
+  :meth:`FactStore.to_summary` is written with the routine lists;
+* warm path: the fact table loads back into a fresh store, whole or
+  not at all, and routines restore their CFGs from its facts.
 
 Environment knobs:
 
@@ -14,8 +20,8 @@ Environment knobs:
 * ``REPRO_CACHE_MAX`` caps the entry count (default 512, oldest pruned).
 
 Counters (``cache.*``) surface in the ``repro.obs`` report: hits,
-misses, stores, invalidations, evictions, restored CFGs, and parallel
-fallbacks.
+misses (and ``cache.miss.<reason>`` for each), stores, invalidations,
+evictions and restored CFGs.
 """
 
 from repro.cache.store import (
@@ -30,15 +36,9 @@ from repro.cache.store import (
     store,
     store_verdict,
 )
-from repro.cache.summary import (
-    analyze_routines,
-    executable_to_summary,
-    restore_executable,
-    summarize_routine,
-)
+from repro.cache.summary import executable_to_summary, restore_executable
 
 __all__ = [
-    "analyze_routines",
     "cache_dir",
     "disable_memory_layer",
     "enable_memory_layer",
@@ -53,7 +53,6 @@ __all__ = [
     "store",
     "store_analysis",
     "store_verdict",
-    "summarize_routine",
 ]
 
 
@@ -65,16 +64,14 @@ def load_analysis(executable):
     """
     if not enabled():
         return None
-    summary = load(image_cache_key(executable.image))
-    if summary is None:
-        return None
-    return restore_executable(executable, summary)
+    return load(image_cache_key(executable.image),
+                lambda summary: restore_executable(executable, summary))
 
 
-def store_analysis(executable, jobs=1):
-    """Analyze all routines (optionally in parallel) and persist the
-    summary.  No-op when the cache is disabled."""
+def store_analysis(executable):
+    """Derive every fact and persist the summary.  No-op when the
+    cache is disabled."""
     if not enabled():
         return
-    summary = executable_to_summary(executable, jobs=jobs)
-    store(image_cache_key(executable.image), summary)
+    store(image_cache_key(executable.image),
+          executable_to_summary(executable))

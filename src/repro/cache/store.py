@@ -12,6 +12,11 @@ Invalidation rules:
 
 * version or magic mismatch, truncated or corrupt blob -> the entry is
   deleted and counted in ``cache.invalidations``; the caller sees a miss;
+* every miss counts in ``cache.misses`` and in exactly one reason
+  counter: ``cache.miss.cold`` (no entry), ``cache.miss.version``
+  (another ``ANALYSIS_VERSION``), ``cache.miss.corrupt`` (undecodable)
+  or ``cache.miss.hydrate_reject`` (decoded, but the caller's restore
+  rejected it, e.g. a malformed fact table);
 * the directory is pruned oldest-first past ``REPRO_CACHE_MAX`` entries
   (default 512), counted in ``cache.evictions``.
 
@@ -31,6 +36,7 @@ from repro.env import env_int
 from repro.binfmt.serialize import (
     ANALYSIS_VERSION,
     FormatError,
+    StaleVersionError,
     analysis_from_bytes,
     analysis_to_bytes,
 )
@@ -45,6 +51,9 @@ _C_EVICTIONS = _metrics.counter("cache.evictions")
 _C_ERRORS = _metrics.counter("cache.store_errors")
 _C_PRUNE_RACES = _metrics.counter("cache.prune_races")
 _C_MEMORY_HITS = _metrics.counter("cache.memory_hits")
+_C_MISS_REASONS = {reason: _metrics.counter("cache.miss." + reason)
+                   for reason in ("cold", "version", "corrupt",
+                                  "hydrate_reject")}
 
 _SUFFIX = ".eela"
 _VERDICT_SUFFIX = ".eelv"
@@ -152,8 +161,29 @@ def _memory_drop(name):
             _MEMORY.pop(name, None)
 
 
-def load(key):
-    """Summary dict for *key*, or None on miss/invalidation."""
+def _miss(reason):
+    _C_MISSES.inc()
+    _C_MISS_REASONS[reason].inc()
+
+
+def _accept(summary, restore, memory=False):
+    """Count the lookup's outcome once *restore* has judged *summary*."""
+    restored = restore(summary)
+    if restored is None:
+        _miss("hydrate_reject")
+        return None
+    if memory:
+        _C_MEMORY_HITS.inc()
+    _C_HITS.inc()
+    return restored
+
+
+def load(key, restore):
+    """``restore(summary)`` for *key*'s entry, or None on a miss.
+
+    A lookup is a hit only when *restore* accepts the decoded summary
+    (returns anything but None); a rejected summary is a miss.
+    """
     path = _entry_path(key)
     name = key + _SUFFIX
     blob = _memory_get(name)
@@ -161,25 +191,23 @@ def load(key):
         with _span("cache.load", key=key[:12], bytes=len(blob),
                    memory=True):
             summary = analysis_from_bytes(blob)  # validated at insert
-        _C_MEMORY_HITS.inc()
-        _C_HITS.inc()
-        return summary
+        return _accept(summary, restore, memory=True)
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
     except OSError:
-        _C_MISSES.inc()
+        _miss("cold")
         return None
     with _span("cache.load", key=key[:12], bytes=len(blob)):
         try:
             summary = analysis_from_bytes(blob)
-        except FormatError:
+        except FormatError as error:
             _invalidate(path)
-            _C_MISSES.inc()
+            _miss("version" if isinstance(error, StaleVersionError)
+                  else "corrupt")
             return None
     _memory_put(name, blob)
-    _C_HITS.inc()
-    return summary
+    return _accept(summary, restore)
 
 
 def store(key, summary):

@@ -1,13 +1,14 @@
-"""Build and restore whole-executable analysis summaries.
+"""Build and restore the cache blob of one executable's analysis.
 
-A summary captures what EEL computes once per executable (paper
-section 3): the refined routine set and, per routine, the CFG shape
-(with delay-slot hoists and indirect-jump resolutions baked in) and the
-liveness solution.  Since ANALYSIS_VERSION 4 the blob's routine entries
-are identities only; every derived analysis lives in a ``facts`` table
-(see :mod:`repro.core.facts`) that restores straight into the
-executable's incremental fact store, so a warm image can invalidate and
-re-derive single routines without a cold re-analysis.
+A blob records what EEL computes once per executable (paper section
+3).  Its ``facts`` table is the executable's whole fact store (see
+:mod:`repro.core.facts`): routine identities, CFG shapes (with
+delay-slot hoists and indirect-jump resolutions baked in), liveness and
+the derived kinds, plus their dependency edges.  Beside it, the
+``routines`` and ``hidden`` identity lists keep refinement's order
+(stage 3/4 append hidden routines in discovery order, which the facts
+alone do not give), ``claimed`` the dispatch-table data and
+``provenance`` where the routine set came from.
 """
 
 from repro.obs import metrics as _metrics
@@ -17,77 +18,23 @@ _C_HYDRATED = _metrics.counter("facts.hydrated")
 _C_HYDRATE_REJECTS = _metrics.counter("facts.hydrate_rejects")
 
 
-def summarize_routine(routine):
-    """Per-routine analysis summary: identity + CFG + liveness."""
-    from repro.core.symtab_refine import routine_identity
-
-    cfg = routine.control_flow_graph()
-    liveness = cfg.live_registers()
-    summary = routine_identity(routine)
-    summary["cfg"] = cfg.to_summary()
-    summary["liveness"] = liveness.to_summary()
-    return summary
-
-
-def analyze_routines(executable, routines, jobs=1):
-    """Analysis summaries for *routines*, optionally fanned out.
-
-    Routines are independent after symbol-table refinement, so on a
-    cold cache the CFG/liveness work can run under
-    ``concurrent.futures``; any pool failure falls back to the serial
-    path, and ``jobs=1`` never touches a pool at all.
-    """
-    if jobs > 1 and len(routines) > 1:
-        from repro.cache.parallel import parallel_summaries
-
-        summaries = parallel_summaries(executable, routines, jobs)
-        if summaries is not None:
-            return summaries
-    return [summarize_routine(routine) for routine in routines]
-
-
-def _populate_store(executable, routines, summaries):
-    """Assert routine/cfg/liveness facts from computed *summaries*, then
-    derive the downstream kinds from the CFG payloads (no CFG builds)."""
-    from repro.core.facts import rules as _fact_rules
-
-    store = executable.fact_store()
-    for routine, summary in zip(routines, summaries):
-        identity = {key: summary[key]
-                    for key in ("name", "start", "end", "entries", "hidden")}
-        store.put("routine", routine.start, identity)
-        store.put("cfg", routine.start, summary["cfg"],
-                  (("routine", routine.start),))
-        store.put("liveness", routine.start, summary["liveness"],
-                  (("cfg", routine.start),))
-    for kind in ("cti", "dispatch", "islands", "callsites"):
-        for routine in routines:
-            _fact_rules.ensure(executable, store, kind, routine)
-    return store
-
-
-def executable_to_summary(executable, jobs=1):
+def executable_to_summary(executable):
     """Summarize *executable*'s refined, analyzed state.
 
-    Must run after ``read_contents``; building the per-routine CFGs
-    claims dispatch-table data, so the claimed set is recorded last.
+    Must run after ``read_contents``: derives every fact kind, then
+    records the claimed set last, since building the CFGs claims
+    dispatch-table data.
     """
+    from repro.core.facts import rules as _fact_rules
     from repro.core.symtab_refine import routine_identity
 
-    routines = list(executable._routines)
-    hidden = list(executable._hidden)
-    with _span("cache.analyze", jobs=jobs,
-               routines=len(routines) + len(hidden)):
-        summaries = analyze_routines(executable, routines + hidden,
-                                     jobs=jobs)
-    _attach(routines + hidden, summaries)
-    store = _populate_store(executable, routines + hidden, summaries)
+    store = executable.fact_store()
+    _fact_rules.populate(executable, store)
     return {
         "arch": executable.arch,
-        "provenance": getattr(executable, "analysis_provenance",
-                              "discovery"),
-        "routines": [routine_identity(routine) for routine in routines],
-        "hidden": [routine_identity(routine) for routine in hidden],
+        "provenance": executable.analysis_provenance,
+        "routines": [routine_identity(r) for r in executable._routines],
+        "hidden": [routine_identity(r) for r in executable._hidden],
         "claimed": sorted(executable._claimed),
         "facts": store.to_summary(),
     }
@@ -96,13 +43,13 @@ def executable_to_summary(executable, jobs=1):
 def restore_executable(executable, summary):
     """Recreate the refined routine sets and fact store from *summary*.
 
-    Returns (routines, hidden) lists of Routine objects with analysis
-    views attached (CFGs and liveness restore lazily on first use) and
-    leaves the hydrated :class:`FactStore` on ``executable.facts``.
-    Returns None — a clean miss, never a partial hydrate — when the
-    summary does not describe this executable, its fact table is
-    malformed, or any routine lacks its core facts
-    (``facts.hydrate_rejects`` counts the last two).
+    Returns (routines, hidden) lists of Routine objects and leaves the
+    hydrated :class:`FactStore` on ``executable.facts``; CFGs and
+    liveness restore from its facts on first use.  Returns None — a
+    clean miss, never a partial hydrate — when the summary does not
+    describe this executable, its fact table is malformed, or any
+    routine lacks clean ``cfg``/``liveness`` facts under a matching
+    ``routine`` fact (``facts.hydrate_rejects`` counts the last two).
     """
     from repro.core.facts import FactStore
     from repro.core.facts import rules as _fact_rules
@@ -122,7 +69,8 @@ def restore_executable(executable, summary):
         hidden = [routine_from_identity(executable, entry)
                   for entry in summary["hidden"]]
         for routine in routines + hidden:
-            if _fact_rules.attach_view(store, routine) is None:
+            facts = _fact_rules.restorable(store, routine)
+            if facts is None or facts[1] is None:
                 _C_HYDRATE_REJECTS.inc()
                 return None
         executable._claimed = set(summary["claimed"])
@@ -131,12 +79,3 @@ def restore_executable(executable, summary):
                                                      "discovery")
     _C_HYDRATED.inc(len(store))
     return routines, hidden
-
-
-def _attach(routines, summaries):
-    """Attach freshly built summaries so in-session CFG rebuilds (after
-    ``delete_control_flow_graph``) can restore instead of re-analyzing."""
-    for routine, summary in zip(routines, summaries):
-        routine.analysis_summary = summary
-        if routine._cfg is not None and routine._cfg._liveness is None:
-            routine._cfg._live_summary = summary.get("liveness")

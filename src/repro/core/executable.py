@@ -74,8 +74,11 @@ class Executable:
         if self.image.kind != "exec":
             raise ExecutableError("not an executable image")
         self.arch = self.image.arch
-        self.codec = get_codec(self.arch)
-        self.conventions = get_conventions(self.arch)
+        try:
+            self.codec = get_codec(self.arch)
+            self.conventions = get_conventions(self.arch)
+        except ValueError as error:
+            raise ExecutableError(str(error)) from None
         self._routines = RoutineList()
         self._hidden = RoutineList()
         self._read = False
@@ -87,7 +90,6 @@ class Executable:
         self.analysis_provenance = "discovery"
         self.meta_status = ("absent", None)
         self.meta_reject_detail = None
-        self._adopt = None  # start -> adoptable summary (fuzz shrinking)
         self._claimed = set()  # data addresses claimed inside text
         self._edited_routines = {}  # name -> Routine (with .edited set)
         self._added_routines = []  # (name, base_addr, words)
@@ -108,26 +110,31 @@ class Executable:
     # ------------------------------------------------------------------
     # Reading and analysis
     # ------------------------------------------------------------------
-    def read_contents(self, jobs=1, adopt=None, trust_meta=None):
+    def read_contents(self, adopt=None, trust_meta=None):
         """Analyze the symbol table and program to find all routines.
 
-        With a warm analysis cache (see :mod:`repro.cache`) the refined
-        routine set, per-routine analyses, and the fact table restore
-        from disk instead of being recomputed.  On a cold cache, *jobs*
-        > 1 fans the per-routine analysis out across worker processes.
+        Every path leaves its results in one place, the fact store
+        ``self.facts``, from whose clean facts routines restore their
+        CFGs and liveness (see :meth:`Routine.control_flow_graph`):
 
-        When the image carries a verified ``.eel.meta`` section (see
-        :mod:`repro.core.trust`) the routine set hydrates straight from
-        it instead of running full refinement; any inconsistency falls
-        back to refinement with a typed ``meta.reject.*`` reason.
-        *trust_meta* overrides the ``$REPRO_TRUST_META`` default
-        (None = use the environment, default on).
+        * a warm analysis cache (see :mod:`repro.cache`) loads the
+          store from the cached fact table and skips everything else;
+        * a verified ``.eel.meta`` section (see :mod:`repro.core.trust`)
+          supplies the routine set instead of full refinement; any
+          inconsistency falls back to refinement with a typed
+          ``meta.reject.*`` reason.  *trust_meta* overrides the
+          ``$REPRO_TRUST_META`` default (None = use the environment,
+          default on);
+        * otherwise symbol-table refinement discovers the routines.
 
-        *adopt* maps routine start addresses to surviving analysis
-        summaries from a closely related executable (the fuzz
-        shrinker's parent plan): routines whose extent, entries, and
-        text bytes match restore their CFGs from the adopted summary
-        instead of rebuilding — even during refinement's stage 4.
+        The last two assert the ``routine`` facts; with the cache on,
+        every fact kind is then derived and stored for the next run.
+
+        *adopt* carries routine/cfg/liveness facts from a closely
+        related executable (the fuzz shrinker's parent plan; see
+        :func:`repro.core.facts.rules.adopt`).  They seed the store
+        during refinement only, so byte-identical routines with the
+        same identity restore their CFGs instead of rebuilding.
         """
         from repro import cache
         from repro.core import trust
@@ -145,7 +152,9 @@ class Executable:
                 sp.set(routines=len(routines), hidden=len(hidden),
                        cached=True)
                 return self
-            self._adopt = adopt or None
+            self.facts = FactStore()
+            if adopt:
+                _fact_rules.adopt(self, self.facts, adopt)
             hydrated = trust.attempt(self, trust_meta)
             if hydrated is not None:
                 routines, hidden = hydrated
@@ -158,9 +167,11 @@ class Executable:
             self._routines = RoutineList(routines)
             self._hidden = RoutineList(hidden)
             self._read = True
-            self.facts = FactStore()
+            # Adopted facts only seed refinement; ones whose identity
+            # did not survive it must not leak into the result.
+            self.facts.clear()
             _fact_rules.assert_routines(self, self.facts)
-            cache.store_analysis(self, jobs=jobs)
+            cache.store_analysis(self)
         return self
 
     def fact_store(self):
@@ -184,7 +195,6 @@ class Executable:
         if routine is None:
             raise ExecutableError("unknown routine %r" % (routine_or_name,))
         self.fact_store().invalidate("routine", routine.start)
-        routine.analysis_summary = None
         routine.delete_control_flow_graph()
         return routine
 
@@ -194,42 +204,6 @@ class Executable:
 
         _fact_rules.solve(self, self.fact_store())
         return self
-
-    def _adoption_view(self, routine):
-        """An adopted analysis summary for *routine*, or None.
-
-        Only byte-identical routines with matching identity adopt: the
-        extent, entry points, hidden flag, and a hash of the text bytes
-        must all agree with the donor's record.
-        """
-        if not self._adopt:
-            return None
-        record = self._adopt.get(routine.start)
-        if record is None:
-            return None
-        summary = record.get("summary") or {}
-        if "cfg" not in summary:
-            return None
-        if (summary.get("end") != routine.end
-                or list(summary.get("entries", ())) != routine.entries
-                or bool(summary.get("hidden")) != routine.hidden):
-            return None
-        from repro.core.facts import rules as _fact_rules
-
-        try:
-            if record.get("text_hash") != _fact_rules.text_hash(
-                    self, routine.start, routine.end):
-                return None
-        except (KeyError, IndexError, ValueError):
-            return None
-        from repro.obs import metrics as _metrics
-
-        _metrics.counter("facts.adopted").inc()
-        view = {"name": routine.name, "start": routine.start,
-                "end": routine.end, "entries": list(routine.entries),
-                "hidden": 1 if routine.hidden else 0,
-                "cfg": summary["cfg"], "liveness": summary.get("liveness")}
-        return view
 
     def routines(self):
         if not self._read:

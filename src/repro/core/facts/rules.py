@@ -31,6 +31,7 @@ from repro.obs.trace import span as _span
 _C_REDERIVED = _metrics.counter("facts.rederived")
 _C_REFRESHED = _metrics.counter("facts.refreshed")
 _C_ESCALATIONS = _metrics.counter("facts.escalations")
+_C_ADOPTED = _metrics.counter("facts.adopted")
 
 # Derivation order: a fact kind only reads kinds to its left.
 KIND_ORDER = ("routine", "cfg", "liveness", "cti", "dispatch", "islands",
@@ -144,7 +145,7 @@ def ensure(executable, store, kind, routine):
 
 
 # ----------------------------------------------------------------------
-# Population (cold path) and summary views
+# Population (cold path), the restore guard, and adoption
 # ----------------------------------------------------------------------
 
 def assert_routines(executable, store):
@@ -167,19 +168,48 @@ def populate(executable, store, kinds=DERIVED_KINDS):
                 ensure(executable, store, kind, routine)
 
 
-def attach_view(store, routine):
-    """Attach the routine's analysis summary assembled from its facts,
-    so later ``control_flow_graph()`` calls restore instead of build."""
+def restorable(store, routine):
+    """The routine's clean ``(cfg, liveness)`` payloads, or None.
+
+    The identity guard every restore goes through: the facts describe
+    *routine* only while its ``routine`` fact still records the same
+    extent, entry points and hidden flag, and its ``cfg`` fact is clean.
+    Liveness is None when absent or dirty (it is then recomputed).
+    """
+    if store is None:
+        return None
     identity = store.get("routine", routine.start)
     cfg = store.get("cfg", routine.start)
-    liveness = store.get("liveness", routine.start)
-    if identity is None or cfg is None or liveness is None:
+    if (identity is None or cfg is None
+            or store.is_dirty("cfg", routine.start)
+            or identity.get("end") != routine.end
+            or list(identity.get("entries", ())) != routine.entries
+            or bool(identity.get("hidden")) != routine.hidden):
         return None
-    view = dict(identity)
-    view["cfg"] = cfg
-    view["liveness"] = liveness
-    routine.analysis_summary = view
-    return view
+    liveness = store.get("liveness", routine.start)
+    if store.is_dirty("liveness", routine.start):
+        liveness = None
+    return cfg, liveness
+
+
+def adopt(executable, store, donor):
+    """Seed *store* with a related executable's routine, cfg and
+    liveness facts (the fuzz shrinker's parent plan).
+
+    *donor* maps routine starts to ``{"text_hash", "routine", "cfg",
+    "liveness"}`` records (see ``repro.fuzz.campaign``); only routines
+    whose text bytes hash the same in *executable* are copied, and
+    :func:`restorable` still checks each one's identity before use.
+    """
+    for start, record in donor.items():
+        identity = record["routine"]
+        if record["text_hash"] != text_hash(executable, start,
+                                            identity["end"]):
+            continue
+        store.put("routine", start, identity)
+        store.put("cfg", start, record["cfg"], (("routine", start),))
+        store.put("liveness", start, record["liveness"], (("cfg", start),))
+        _C_ADOPTED.inc()
 
 
 def text_hash(executable, start, end):
@@ -229,14 +259,11 @@ def _escalate(executable, store):
     store.clear()
     executable._claimed = set()
     for routine in executable.all_routines():
-        routine.analysis_summary = None
         routine.delete_control_flow_graph()
     routines, hidden = refine_symbol_table(executable)
     executable._routines = RoutineList(routines)
     executable._hidden = RoutineList(hidden)
     populate(executable, store, kinds=kinds)
-    for routine in executable.all_routines():
-        attach_view(store, routine)
 
 
 def solve(executable, store, max_rounds=8):
@@ -263,7 +290,6 @@ def solve(executable, store, max_rounds=8):
                         continue
                     if kind == "cfg":
                         old = store.get("cfg", key)
-                        routine.analysis_summary = None
                         routine.delete_control_flow_graph()
                         payload, deps = _derive_cfg(executable, routine,
                                                     store)
@@ -281,9 +307,5 @@ def solve(executable, store, max_rounds=8):
                         store.put(kind, key, payload, deps)
                         refreshed += 1
                         _C_REFRESHED.inc()
-            for key in {key for k, key in dirty if k in ("cfg", "liveness")}:
-                routine = by_start.get(key)
-                if routine is not None:
-                    attach_view(store, routine)
         sp.set(rederived=rederived, refreshed=refreshed)
     return rederived, refreshed

@@ -89,25 +89,27 @@ class _Timed:
 
 
 def _adoptable_facts(executable):
-    """{start: {summary, text_hash}} for every analyzable routine.
+    """Donor records for :func:`repro.core.facts.rules.adopt`.
 
-    The donor record :meth:`Executable._adoption_view` checks during a
-    later, closely related analysis (the shrinker's delta candidates);
-    a routine whose analysis fails to summarize is simply left out.
+    ``{start: {text_hash, routine, cfg, liveness}}`` for every
+    analyzable routine, taken from *executable*'s fact store; the
+    shrinker hands them to its next, closely related delta candidate.
+    A routine whose analysis fails is simply left out.
     """
-    from repro.cache.summary import summarize_routine
     from repro.core.facts import rules as fact_rules
 
+    store = executable.fact_store()
     facts = {}
     for routine in executable.all_routines():
         try:
-            facts[routine.start] = {
-                "summary": summarize_routine(routine),
-                "text_hash": fact_rules.text_hash(
-                    executable, routine.start, routine.end),
-            }
+            record = {kind: fact_rules.ensure(executable, store, kind,
+                                              routine)
+                      for kind in ("routine", "cfg", "liveness")}
+            record["text_hash"] = fact_rules.text_hash(
+                executable, routine.start, routine.end)
         except Exception:
             continue
+        facts[routine.start] = record
     return facts
 
 

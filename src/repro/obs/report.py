@@ -54,9 +54,10 @@ from repro.obs import metrics, trace
 # the same objects) so they are present, zero-valued, in every snapshot
 # even before the cache package loads; otherwise consecutive reports in
 # one process could disagree on the counter key set.
-for _name in ("hits", "misses", "stores", "invalidations", "evictions",
-              "store_errors", "restored_cfgs", "parallel_fallbacks",
-              "memory_hits", "prune_races", "parallel_suppressed"):
+for _name in ("hits", "misses", "miss.cold", "miss.version",
+              "miss.corrupt", "miss.hydrate_reject", "stores",
+              "invalidations", "evictions", "store_errors", "restored_cfgs",
+              "memory_hits", "prune_races"):
     metrics.counter("cache." + _name)
 
 # And the serve daemon: a drained daemon flushes these through

@@ -11,10 +11,9 @@ restart budget; once the budget is spent and no normal worker
 survives, a single immortal fallback worker serves the queue serially
 — degraded, but never dark.
 
-The daemon process itself stays single-address-space: analysis fan-out
-pools are suppressed (forking from a threaded parent can deadlock the
-children) and the cache's in-memory warm layer is enabled, so all
-requests share one warm analysis state under one lock discipline.
+The daemon process itself stays single-address-space: the cache's
+in-memory warm layer is enabled, so all requests share one warm
+analysis state under one lock discipline.
 """
 
 import errno
@@ -140,10 +139,8 @@ class EditServer:
     def start(self):
         """Bind the socket, warm the caches, spawn the thread pool."""
         from repro.cache import enable_memory_layer
-        from repro.cache.parallel import suppress_pools
 
         enable_memory_layer(self.config.warm_cap)
-        suppress_pools()
         path = self.config.socket_path
         if os.path.exists(path):
             # Probe before unlink: a *stale* socket (previous daemon

@@ -1,5 +1,5 @@
 """Content-addressed analysis cache: keys, round-trips, warm restores,
-invalidation, pruning, and the parallel cold-cache pipeline."""
+invalidation, pruning, and miss accounting."""
 
 import contextlib
 import glob
@@ -221,6 +221,26 @@ def test_corrupt_entry_invalidated_and_reanalyzed(tmp_path):
         assert _analysis_of(warm) == _analysis_of(exe)
 
 
+def test_miss_reasons_sum_to_misses(tmp_path):
+    """Each miss counts under exactly one cache.miss.<reason>."""
+    with _env(REPRO_CACHE="on", REPRO_CACHE_DIR=str(tmp_path)):
+        Executable(build_image("fib")).read_contents()
+        entries = glob.glob(str(tmp_path / "*.eela"))
+        with open(entries[0], "rb") as handle:
+            header = handle.read(6)
+        with open(entries[0], "wb") as handle:
+            handle.write(header + b"not zlib")
+        Executable(build_image("fib")).read_contents()
+        Executable(build_image("fib")).read_contents()
+    counters = metrics.snapshot()["counters"]
+    assert counters["cache.miss.cold"] == 1
+    assert counters["cache.miss.corrupt"] == 1
+    assert counters["cache.hits"] == 1
+    assert counters["cache.misses"] == sum(
+        counters["cache.miss." + reason]
+        for reason in ("cold", "version", "corrupt", "hydrate_reject"))
+
+
 def test_prune_caps_entry_count(tmp_path):
     with _env(REPRO_CACHE_DIR=str(tmp_path), REPRO_CACHE_MAX="2"):
         for index in range(4):
@@ -230,26 +250,6 @@ def test_prune_caps_entry_count(tmp_path):
         assert len(remaining) == 2
         counters = metrics.snapshot()["counters"]
         assert counters["cache.evictions"] == 2
-
-
-# ----------------------------------------------------------------------
-# Parallel cold-cache analysis
-# ----------------------------------------------------------------------
-
-def test_parallel_summaries_match_serial():
-    with _env(REPRO_CACHE="off"):
-        serial_exe = Executable(build_image("interp")).read_contents()
-        serial = cache.executable_to_summary(serial_exe, jobs=1)
-        parallel_exe = Executable(build_image("interp")).read_contents()
-        parallel = cache.executable_to_summary(parallel_exe, jobs=2)
-    assert parallel == serial
-
-
-def test_jobs_flag_reaches_read_contents():
-    with _env(REPRO_CACHE="off"):
-        exe = Executable(build_image("fib")).read_contents(jobs=2)
-    assert exe._read
-    assert len(list(exe.all_routines())) > 0
 
 
 # ----------------------------------------------------------------------
@@ -382,6 +382,7 @@ def test_old_version_blob_misses_cleanly(tmp_path):
         counters = metrics.snapshot()["counters"]
         assert counters["cache.invalidations"] == 1
         assert counters["cache.misses"] == 1
+        assert counters["cache.miss.version"] == 1
         assert counters["cache.hits"] == 0
         assert counters.get("facts.hydrated", 0) == 0
         assert counters["cache.stores"] == 1
@@ -405,6 +406,9 @@ def test_missing_fact_table_rejected_not_partially_hydrated(tmp_path):
         counters = metrics.snapshot()["counters"]
         assert counters["facts.hydrate_rejects"] == 1
         assert counters.get("facts.hydrated", 0) == 0
+        assert counters["cache.hits"] == 0
+        assert counters["cache.misses"] == 1
+        assert counters["cache.miss.hydrate_reject"] == 1
         assert counters["cache.stores"] == 1  # cold path re-stored
         assert warm.fact_store() is not None
         assert _analysis_of(warm) == _analysis_of(exe)
@@ -433,6 +437,9 @@ def test_partial_fact_table_rejected_not_partially_hydrated(tmp_path):
         warm = Executable(build_image("fib")).read_contents()
         counters = metrics.snapshot()["counters"]
         assert counters["facts.hydrate_rejects"] == 1
+        assert counters["cache.hits"] == 0
+        assert counters["cache.misses"] == 1
+        assert counters["cache.miss.hydrate_reject"] == 1
         assert counters["cache.stores"] == 1
         assert _analysis_of(warm) == _analysis_of(exe)
 

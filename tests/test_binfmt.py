@@ -1,7 +1,7 @@
 """EELF images: serialization round-trips and the linker."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble
 from repro.binfmt import (
@@ -17,6 +17,7 @@ from repro.binfmt import (
 from repro.binfmt.image import SEC_EXEC, SEC_NOBITS, SEC_WRITE
 from repro.binfmt.serialize import FormatError, image_from_bytes, \
     image_to_bytes
+from repro.core.executable import Executable, ExecutableError
 
 
 def _sample_image():
@@ -107,6 +108,55 @@ def test_roundtrip_arbitrary_data(data, entry):
     back = image_from_bytes(image_to_bytes(image))
     assert bytes(back.get_section(".data").data) == data
     assert back.entry == entry
+
+
+# ----------------------------------------------------------------------
+# Malformed input: FormatError and nothing else
+# ----------------------------------------------------------------------
+
+_BLOB = image_to_bytes(_sample_image())
+
+
+@given(st.data())
+def test_truncation_raises_format_error(data):
+    """Every strict prefix of an encoding promises bytes it lacks."""
+    cut = data.draw(st.integers(min_value=0, max_value=len(_BLOB) - 1))
+    with pytest.raises(FormatError):
+        image_from_bytes(_BLOB[:cut])
+
+
+@given(st.one_of(st.binary(max_size=256),
+                 st.binary(max_size=256).map(lambda tail: _BLOB[:6] + tail)))
+def test_garbage_never_raises_anything_else(blob):
+    try:
+        image_from_bytes(blob)
+    except FormatError:
+        pass
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_bitflips_never_raise_anything_else(data):
+    """Flipped bytes decode or raise FormatError; an image that decodes
+    opens as an Executable or raises ExecutableError (e.g. an unknown
+    architecture string)."""
+    blob = bytearray(_BLOB)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        index = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        blob[index] ^= data.draw(st.integers(min_value=1, max_value=255))
+    try:
+        image = image_from_bytes(bytes(blob))
+    except FormatError:
+        return
+    try:
+        Executable(image)
+    except ExecutableError:
+        pass
+
+
+def test_unknown_arch_is_an_executable_error():
+    with pytest.raises(ExecutableError):
+        Executable(Image("vax", kind="exec"))
 
 
 # ----------------------------------------------------------------------

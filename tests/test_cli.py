@@ -86,7 +86,7 @@ def test_stats_warm_run_skips_routine_analysis(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["stats", out, "--no-run"]) == 0  # populates the cache
     first = json.loads(capsys.readouterr().out)
-    assert main(["stats", out, "--no-run", "--jobs", "2"]) == 0
+    assert main(["stats", out, "--no-run"]) == 0
     warm = json.loads(capsys.readouterr().out)
 
     counters = warm["counters"]
@@ -152,9 +152,22 @@ def test_disasm_annotates_routines(tmp_path, capsys):
     exe = str(tmp_path / "fib.eelf")
     main(["build", "fib", exe])
     capsys.readouterr()
-    assert main(["disasm", exe, "--jobs", "2"]) == 0
+    assert main(["disasm", exe]) == 0
     captured = capsys.readouterr()
     assert "; routine fib" in captured.out
+
+
+@pytest.mark.parametrize("command", ["disasm", "routines", "facts", "meta",
+                                     "profile", "cachesim", "stats"])
+def test_analysis_commands_reject_jobs(command, capsys):
+    """Analysis runs in-process; only verify, fuzz, serve and fleet fan
+    work out, so --jobs on an analysis command is a usage error."""
+    args = [command, "in.eelf"] + (["out.eelf"] if command == "profile"
+                                   else [])
+    with pytest.raises(SystemExit) as exit_info:
+        main(args + ["--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_verify_subcommand(capsys):

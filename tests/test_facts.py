@@ -221,8 +221,52 @@ def test_signature_change_escalates_to_full_refinement():
     # Escalation leaves a complete, clean store behind.
     assert not store.dirty_facts()
     for routine in executable.all_routines():
-        assert store.get("cfg", routine.start) is not None
-        assert routine.analysis_summary is not None
+        assert fact_rules.restorable(store, routine) is not None
+
+
+# ----------------------------------------------------------------------
+# The identity guard: facts restore a CFG only while they describe it
+# ----------------------------------------------------------------------
+
+def _add_entry(store, routine):
+    routine.add_entry(routine.control_flow_graph().normal_blocks()[-1].start)
+
+
+def _move_end(store, routine):
+    routine.end -= 4
+    routine.delete_control_flow_graph()
+
+
+def _flip_hidden(store, routine):
+    routine.hidden = not routine.hidden
+    routine.delete_control_flow_graph()
+
+
+def _dirty_cfg(store, routine):
+    store.invalidate("cfg", routine.start)
+    routine.delete_control_flow_graph()
+
+
+def test_clean_matching_cfg_fact_restores():
+    executable, _ = _populated("fib")
+    routine = _routine(executable, "main")
+    routine.delete_control_flow_graph()
+    metrics.reset()
+    routine.control_flow_graph().live_registers()
+    assert _counter("cfg.builds") == 0
+    assert _counter("cache.restored_cfgs") == 1
+
+
+@pytest.mark.parametrize("stale", [_add_entry, _move_end, _flip_hidden,
+                                   _dirty_cfg])
+def test_cfg_fact_never_restores_a_stale_routine(stale):
+    executable, store = _populated("fib")
+    routine = _routine(executable, "main")
+    stale(store, routine)
+    metrics.reset()
+    routine.control_flow_graph()
+    assert _counter("cfg.builds") == 1
+    assert _counter("cache.restored_cfgs") == 0
 
 
 # ----------------------------------------------------------------------
@@ -294,3 +338,29 @@ def test_adoption_ignores_stale_text_hashes():
         assert _counter("cfg.builds") > 0
         assert {r.name for r in child.all_routines()} \
             == {r.name for r in donor.all_routines()}
+
+
+def test_adoption_leaves_the_store_of_a_cold_analysis():
+    """Adopted facts only serve refinement: afterwards the child's store
+    is exactly a cold analysis's, even when a donor record carries an
+    identity refinement does not reproduce."""
+    from repro.fuzz.campaign import _adoptable_facts
+
+    with _env(REPRO_CACHE="off"):
+        donor = _adoptable_facts(
+            Executable(build_image("interp")).read_contents())
+        cold = Executable(build_image("interp")).read_contents()
+        start, record = max(donor.items(),
+                            key=lambda item: item[1]["routine"]["end"]
+                            - item[0])
+        stale_end = record["routine"]["end"] - 4
+        record["routine"] = dict(record["routine"], end=stale_end)
+        record["text_hash"] = fact_rules.text_hash(cold, start, stale_end)
+        metrics.reset()
+        child = Executable(build_image("interp")).read_contents(adopt=donor)
+        assert _counter("facts.adopted") == len(donor)
+        assert _counter("cfg.builds") >= 1  # the stale record rebuilt
+        assert child.facts.to_summary() == cold.facts.to_summary()
+        for executable in (child, cold):
+            fact_rules.populate(executable, executable.facts)
+        assert child.facts.to_summary() == cold.facts.to_summary()
