@@ -24,6 +24,7 @@ import threading
 import time
 
 from conftest import record, report
+from repro.obs.metrics import Histogram
 from repro.serve.client import ServeClient, wait_for_daemon
 
 CLIENTS = 100
@@ -50,8 +51,10 @@ def _env():
 
 
 def _burst(address, failures):
-    """All clients through one address; returns (elapsed_s, completed)."""
+    """All clients through one address; returns (elapsed_s, completed,
+    p99 request latency in ms)."""
     completed = []
+    latencies = []
 
     def session(index):
         workload = WORKLOADS[index % len(WORKLOADS)]
@@ -60,6 +63,7 @@ def _burst(address, failures):
             with ServeClient(address, retries=10,
                              io_timeout=300.0) as client:
                 for _ in range(REQUESTS_EACH):
+                    sent = time.perf_counter()
                     if bulk:
                         result = client.request("verify", workload=workload,
                                                 tool="qpt")
@@ -67,6 +71,7 @@ def _burst(address, failures):
                     else:
                         result = client.run_workload(workload)
                         assert result["exit_code"] == 0
+                    latencies.append(time.perf_counter() - sent)
                     completed.append(index)
         except Exception as error:  # noqa: BLE001 - any failure gates
             failures.append("client %d (%s): %s" % (index, workload, error))
@@ -78,7 +83,11 @@ def _burst(address, failures):
         thread.start()
     for thread in threads:
         thread.join(900)
-    return time.perf_counter() - started, len(completed)
+    elapsed = time.perf_counter() - started
+    latency = Histogram("burst.latency", capacity=max(1, len(latencies)))
+    for seconds in latencies:
+        latency.observe(seconds)
+    return elapsed, len(completed), (latency.percentile(0.99) or 0.0) * 1e3
 
 
 def _shutdown(proc, address):
@@ -106,7 +115,7 @@ def test_fleet_scales_past_single_daemon(tmp_path):
     try:
         assert wait_for_daemon(single_sock, timeout=60.0), \
             "single daemon never came up"
-        single_s, single_done = _burst(single_sock, failures)
+        single_s, single_done, single_p99 = _burst(single_sock, failures)
     finally:
         _shutdown(single, single_sock)
     assert not failures, failures
@@ -122,7 +131,7 @@ def test_fleet_scales_past_single_daemon(tmp_path):
     try:
         assert wait_for_daemon(fleet_sock, timeout=120.0), \
             "fleet gateway never came up"
-        fleet_s, fleet_done = _burst(fleet_sock, failures)
+        fleet_s, fleet_done, fleet_p99 = _burst(fleet_sock, failures)
     finally:
         _shutdown(fleet, fleet_sock)
     assert not failures, failures
@@ -148,6 +157,10 @@ def test_fleet_scales_past_single_daemon(tmp_path):
     record("fleet.single_rps", single_rps, "req/s")
     record("fleet.fleet_rps", fleet_rps, "req/s")
     record("fleet.speedup", speedup, "x")
+    # Per-request tail latency, recorded without a gate: the figure a
+    # change to the gateway's connection loop would have to improve.
+    record("fleet.single_p99_ms", single_p99, "ms")
+    record("fleet.fleet_p99_ms", fleet_p99, "ms")
     record("fleet.cpus", cpus, "cores")
     if cpus >= SHARDS:
         assert speedup >= MIN_SPEEDUP, (

@@ -6,7 +6,11 @@ in-memory analysis state) sit behind one gateway that speaks the same
 ``repro.serve/1`` protocol, routes by executable content so warm state
 is never split across shards, prioritizes interactive work over bulk
 sweeps, and replaces shards — crash or deliberate hot-restart —
-without clients seeing a failure.  See DESIGN.md §5j.
+without clients seeing a failure.  The gateway is not a second server
+implementation: it is the forwarding backend of the same
+:mod:`repro.serve.server` skeleton the shard daemons run, so both
+sides share one protocol front end, drain sequence and foreground
+``main``.  See DESIGN.md §5j.
 """
 
 from repro.fleet.admission import AdmissionQueue, priority_class

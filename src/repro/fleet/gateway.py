@@ -1,9 +1,11 @@
 """The fleet gateway: one front door, N warm shard daemons behind it.
 
-The gateway speaks the same ``repro.serve/1`` protocol as a single
+The gateway is the forwarding backend of the server skeleton in
+:mod:`repro.serve.server`, which :class:`~repro.serve.daemon.EditServer`
+also runs: it speaks the same ``repro.serve/1`` protocol as a single
 daemon — a client cannot tell the difference except that answers carry
 a ``shard`` field — and listens on a Unix socket or ``tcp://host:port``.
-Per connection, a thread parses requests; admitted requests enter the
+The skeleton parses requests per connection; admitted requests enter the
 two-class :class:`~repro.fleet.admission.AdmissionQueue` (interactive
 ahead of bulk, starvation-bounded); forwarder threads route each
 request by content key over the rendezvous ring to the shard that
@@ -24,8 +26,6 @@ export`` its per-shard labels and ``repro top`` its shard rows.
 """
 
 import os
-import socket
-import sys
 import threading
 import time
 from time import perf_counter
@@ -34,8 +34,8 @@ from repro.obs import context as _context
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.serve import protocol
-from repro.serve.client import ServeError, parse_address
+from repro.serve import ops, protocol, server
+from repro.serve.client import ServeError
 from repro.fleet import ring
 from repro.fleet.admission import AdmissionQueue, priority_class
 from repro.fleet.config import FleetConfig
@@ -52,278 +52,124 @@ _H_QUEUE_WAIT = _metrics.histogram("fleet.queue_wait")
 
 _STOP = object()
 
-# Ops answered by the gateway itself (fleet state and control).
-LOCAL_OPS = frozenset({"ping", "stats", "top", "hot_restart"})
+
+def _op_ping(gateway, params):
+    return dict(ops.HANDLERS["ping"](gateway, params),
+                fleet={"shards": gateway.config.shards,
+                       "live": len(gateway.manager.live_slots())})
 
 
-class _GatewayJob:
-    """One admitted request travelling from connection to forwarder."""
-
-    __slots__ = ("id", "op", "params", "context", "done", "response",
-                 "admitted")
-
-    def __init__(self, request_id, op, params, context):
-        self.id = request_id
-        self.op = op
-        self.params = params
-        self.context = context
-        self.done = threading.Event()
-        self.response = None
-        self.admitted = perf_counter()
-
-    def finish(self, response):
-        self.response = response
-        self.done.set()
+def _op_hot_restart(gateway, params):
+    manager = gateway.manager
+    shard = params.get("shard")
+    if shard is None:
+        return {"restarted": manager.rolling_restart()}
+    if not isinstance(shard, int) \
+            or not 0 <= shard < gateway.config.shards:
+        raise ValueError("no such shard %r" % (shard,))
+    return {"restarted": [manager.hot_restart(manager.slots[shard])]}
 
 
-class FleetGateway:
+class FleetGateway(server.Server):
     """Front process: admission, routing, forwarding, fleet control."""
 
+    name, prog, role = "fleet", "repro-fleet", "gateway"
+    start_event, drain_event = "fleet.start", "fleet.drain"
+    counters = server.Counters(requests=_C_REQUESTS, draining=_C_REJECTED,
+                               overloaded=_C_REJECTED)
+    shutdown_result = {"draining": True, "fleet": True}
+    # Fleet state and control: answered by the gateway, never forwarded.
+    local_ops = {"ping": _op_ping, "stats": ops.HANDLERS["stats"],
+                 "top": ops.HANDLERS["top"], "hot_restart": _op_hot_restart}
+
     def __init__(self, config=None):
-        self.config = config or FleetConfig()
-        self.manager = ShardManager(self.config)
-        self.queue = AdmissionQueue(self.config.queue_size,
-                                    self.config.starvation_limit)
-        self.started_at = None
-        self._listener = None
-        self._family = None
-        self._threads = []
+        config = config or FleetConfig()
+        super().__init__(config, config.address)
+        self.manager = ShardManager(config)
+        self.queue = AdmissionQueue(config.queue_size,
+                                    config.starvation_limit)
         self._forwarders = []
-        self._lock = threading.Lock()
-        self._in_flight = 0
-        self._inflight_zero = threading.Condition(self._lock)
-        self._drain_requested = threading.Event()
-        self.drained = threading.Event()
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Backend hooks of the server skeleton
     # ------------------------------------------------------------------
 
-    def start(self):
+    def _start_backend(self):
+        """Spawn the shard fleet, then the forwarders."""
         self.manager.start()
-        family, target = parse_address(self.config.address)
-        self._family = family
-        if family == "unix":
-            if os.path.exists(target):
-                from repro.serve.daemon import socket_in_use
-
-                if socket_in_use(target):
-                    raise OSError("gateway socket %s is served by a live "
-                                  "process; refusing to steal it" % target)
-                os.unlink(target)
-            self._listener = socket.socket(socket.AF_UNIX,
-                                           socket.SOCK_STREAM)
-            self._listener.bind(target)
-        else:
-            self._listener = socket.socket(socket.AF_INET,
-                                           socket.SOCK_STREAM)
-            self._listener.setsockopt(socket.SOL_SOCKET,
-                                      socket.SO_REUSEADDR, 1)
-            self._listener.bind(target)
-        self._listener.listen(min(socket.SOMAXCONN, 512))
-        self._listener.settimeout(0.2)
-        self.started_at = time.monotonic()
         for index in range(self.config.forwarders):
             thread = threading.Thread(target=self._forward_loop,
                                       name="fleet-forward-%d" % index,
                                       daemon=True)
             thread.start()
             self._forwarders.append(thread)
-        for target_fn, name in ((self._accept_loop, "fleet-accept"),
-                                (self._drain_loop, "fleet-drain")):
-            thread = threading.Thread(target=target_fn, name=name,
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        _events.emit("fleet.start", pid=os.getpid(),
-                     address=self.config.address,
-                     shards=self.config.shards,
-                     forwarders=self.config.forwarders)
-        return self
 
-    def request_drain(self):
-        self._drain_requested.set()
+    def _start_fields(self):
+        return {"address": self.address, "shards": self.config.shards,
+                "forwarders": self.config.forwarders}
 
-    def wait_drained(self, timeout=None):
-        return self.drained.wait(timeout)
+    def _admit_fields(self, op):
+        return {"priority": priority_class(op)}
 
-    def describe(self):
-        interactive, bulk = self.queue.depths()
-        return {
-            "pid": os.getpid(),
-            "fleet": True,
-            "address": self.config.address,
-            "shards": self.config.shards,
-            "live": sorted(self.manager.live_slots()),
-            "forwarders": self.config.forwarders,
-            "queue_depth": interactive + bulk,
-            "queues": {"interactive": interactive, "bulk": bulk},
-            "draining": self._drain_requested.is_set(),
-            "uptime_s": time.monotonic() - self.started_at
-            if self.started_at is not None else 0.0,
-        }
-
-    # ------------------------------------------------------------------
-    # Accept / connection handling (mirrors EditServer's shape)
-    # ------------------------------------------------------------------
-
-    def _accept_loop(self):
-        while not self._drain_requested.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            thread = threading.Thread(target=self._serve_connection,
-                                      args=(conn,), daemon=True)
-            thread.start()
-
-    def _serve_connection(self, conn):
-        reader = protocol.LineReader(conn)
-        try:
-            while True:
-                try:
-                    message = reader.next_message()
-                except protocol.ProtocolError as error:
-                    conn.sendall(protocol.encode(protocol.error_response(
-                        None, protocol.E_BAD_REQUEST, str(error))))
-                    return
-                if message is None:
-                    return
-                response = self._handle_request(message)
-                if response is not None:
-                    conn.sendall(protocol.encode(response))
-        except OSError:
-            pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _handle_request(self, message):
-        request_id = message.get("id")
-        op = message.get("op")
-        ctx = _context.TraceContext.from_wire(message.get("trace")) \
-            or _context.TraceContext()
-        _C_REQUESTS.inc()
-
-        def _tagged(response):
-            if isinstance(response, dict):
-                response.setdefault("trace_id", ctx.trace_id)
-            return response
-
-        if not isinstance(op, str):
-            return _tagged(protocol.error_response(
-                request_id, protocol.E_BAD_REQUEST,
-                "request needs a string 'op'"))
-        params = {key: value for key, value in message.items()
-                  if key not in ("id", "op", "trace")}
-        if op == "shutdown":
-            self.request_drain()
-            return _tagged(protocol.ok_response(request_id,
-                                                {"draining": True,
-                                                 "fleet": True}))
-        if self._drain_requested.is_set():
-            _C_REJECTED.inc()
-            return _tagged(protocol.error_response(
-                request_id, protocol.E_DRAINING, "gateway is draining",
-                retry_after=self.config.retry_after_s))
-        if op in LOCAL_OPS:
-            with _context.attached(ctx):
-                return _tagged(self._local_op(request_id, op, params))
-        job = _GatewayJob(request_id, op, params, ctx)
-        _events.emit("request.admit", trace_id=ctx.trace_id,
-                     id=request_id, op=op,
-                     priority=priority_class(op),
-                     queue_depth=len(self.queue))
-        with self._lock:
-            self._in_flight += 1
-        if not self.queue.put(job, op=op):
-            self._job_finished(job)
-            _C_REJECTED.inc()
-            _events.emit("request.error", trace_id=ctx.trace_id,
-                         id=request_id, op=op,
-                         code=protocol.E_OVERLOADED,
-                         queue_depth=self.config.queue_size)
-            return _tagged(protocol.error_response(
-                request_id, protocol.E_OVERLOADED,
-                "gateway admission queue is full (%d waiting)"
-                % self.config.queue_size,
-                retry_after=self.config.retry_after_s))
+    def _submit(self, job):
+        if not self.queue.put(job, op=job.op):
+            return False
         self._note_depths()
+        return True
+
+    def _queue_depth(self):
+        return len(self.queue)
+
+    def _wait_deadline(self):
         # Worst case one forward waits through a full shard timeout per
         # retry; bound the client wait above that so the gateway, not
         # the client's io_timeout, reports the failure.
-        deadline = self.config.shard_timeout_s \
+        return self.config.shard_timeout_s \
             * (1 + min(1, self.config.retries)) + 10.0
-        if not job.done.wait(deadline):
-            _events.emit("request.error", trace_id=ctx.trace_id,
-                         id=request_id, op=op, code=protocol.E_TIMEOUT)
-            return _tagged(protocol.error_response(
-                request_id, protocol.E_TIMEOUT,
-                "fleet request exceeded %.1fs" % deadline,
-                retry_after=self.config.retry_after_s))
-        return _tagged(job.response)
 
-    def _note_depths(self):
+    def _stop(self, deadline):
+        """Dismiss the forwarders, then shut every shard down."""
+        for _ in self._forwarders:
+            self.queue.put_control(_STOP)
+        for thread in self._forwarders:
+            thread.join(max(0.1, deadline - time.monotonic()))
+        self.manager.stop()
+        return {}
+
+    def banner(self):
+        return "gateway on %s (%d shards, %d forwarders, pid %d)" % (
+            self.address, self.config.shards, self.config.forwarders,
+            os.getpid())
+
+    def summary(self, report):
+        fleet = report["fleet"]
+        return ("drained (%d requests, %d forwarded, %d rerouted, "
+                "%d retries, %d hot restarts)"
+                % (fleet["requests"], fleet["forwarded"], fleet["rerouted"],
+                   fleet["retries"], fleet["hot_restarts"]))
+
+    def describe(self):
         interactive, bulk = self.queue.depths()
-        _G_Q_INTERACTIVE.set(interactive)
-        _G_Q_BULK.set(bulk)
+        return dict(super().describe(),
+                    fleet=True, address=self.address,
+                    shards=self.config.shards,
+                    live=sorted(self.manager.live_slots()),
+                    forwarders=self.config.forwarders,
+                    queue_depth=interactive + bulk,
+                    queues={"interactive": interactive, "bulk": bulk})
 
-    def _job_finished(self, job):
-        if not job.done.is_set():
-            job.finish(None)
-        with self._lock:
-            self._in_flight -= 1
-            if self._in_flight <= 0:
-                self._inflight_zero.notify_all()
-
-    # ------------------------------------------------------------------
-    # Local ops (fleet state and control)
-    # ------------------------------------------------------------------
-
-    def _local_op(self, request_id, op, params):
-        try:
-            if op == "ping":
-                live = self.manager.live_slots()
-                return protocol.ok_response(request_id, {
-                    "pong": True, "protocol": protocol.PROTOCOL,
-                    "pid": os.getpid(),
-                    "fleet": {"shards": self.config.shards,
-                              "live": len(live)},
-                })
-            if op == "stats":
-                return protocol.ok_response(request_id, self._stats(params))
-            if op == "top":
-                return protocol.ok_response(request_id, self._top(params))
-            if op == "hot_restart":
-                return protocol.ok_response(request_id,
-                                            self._hot_restart(params))
-        except Exception as error:
-            return protocol.error_response(
-                request_id, protocol.E_INTERNAL,
-                "%s: %s" % (type(error).__name__, error))
-        raise AssertionError("unhandled local op %r" % op)
-
-    def _stats(self, params):
-        from repro.obs import report as obs_report
-
-        report = obs_report.build_report()
+    def report(self):
+        """The obs report with the live shard table grafted into its
+        ``fleet`` section: ``repro export`` labels and ``repro top``
+        rows come from it."""
+        report = super().report()
         report["fleet"]["shards"] = self.manager.shard_table()
-        sections = params.get("sections")
-        if sections is not None:
-            if not isinstance(sections, list) \
-                    or not all(isinstance(s, str) for s in sections):
-                return {"report": {}, "server": self.describe()}
-            known = [s for s in sections if s in report]
-            report = {key: report[key] for key in ("schema", *known)}
-        return {"report": report, "server": self.describe()}
+        return report
 
-    def _top(self, params):
+    def top_snapshot(self, cursor=None):
         """Fleet shape of the ``top`` op: gateway counters plus the
-        shard table (``repro top`` renders the table when present)."""
+        shard table (``repro top`` renders the table when present).
+        Never incremental, so *cursor* is ignored."""
         counters = {name: instrument.value for name, instrument
                     in sorted(_metrics.REGISTRY.counters.items())
                     if instrument.value and name.startswith("fleet.")}
@@ -343,15 +189,10 @@ class FleetGateway:
             "shards": self.manager.shard_table(),
         }
 
-    def _hot_restart(self, params):
-        shard = params.get("shard")
-        if shard is None:
-            return {"restarted": self.manager.rolling_restart()}
-        if not isinstance(shard, int) \
-                or not 0 <= shard < self.config.shards:
-            raise ValueError("no such shard %r" % (shard,))
-        return {"restarted": [self.manager.hot_restart(
-            self.manager.slots[shard])]}
+    def _note_depths(self):
+        interactive, bulk = self.queue.depths()
+        _G_Q_INTERACTIVE.set(interactive)
+        _G_Q_BULK.set(bulk)
 
     # ------------------------------------------------------------------
     # Forwarding
@@ -386,7 +227,8 @@ class FleetGateway:
         finally:
             root.__exit__(None, None, None)
             _context.detach(token)
-            self._emit_forward_event(job, status, code, shard_used, root)
+            self._emit_request_event(job, status, code, root,
+                                     shard=shard_used)
 
     def _forward_routed(self, job, root):
         """Route and relay one request; returns (response, shard_index).
@@ -431,8 +273,11 @@ class FleetGateway:
                     _events.emit("fleet.reroute", shard=slot_index,
                                  op=job.op, key=key)
                     # Report in a helper thread? No: report_failure is
-                    # idempotent and bounded; inline keeps ordering.
-                    self.manager.report_failure(slot)
+                    # idempotent and bounded; inline keeps ordering.  A
+                    # client of a generation a hot restart already
+                    # swapped out says nothing about the current one.
+                    if generation == slot.generation:
+                        self.manager.report_failure(slot)
                     attempts += 1
                     if attempts > self.config.retries \
                             + self.config.shards:
@@ -466,103 +311,7 @@ class FleetGateway:
             _C_FORWARDED.inc()
             return response, slot_index
 
-    def _emit_forward_event(self, job, status, code, shard, root):
-        if not _events.is_configured():
-            return
-        fields = {
-            "trace_id": job.context.trace_id if job.context else None,
-            "id": job.id,
-            "op": job.op,
-            "shard": shard,
-        }
-        if isinstance(root, _trace.Span):
-            fields["spans"] = [root.to_dict()]
-        if status == "ok":
-            _events.emit("request.finish", **fields)
-        else:
-            fields["code"] = code or protocol.E_INTERNAL
-            _events.emit("request.error", **fields)
-
-    # ------------------------------------------------------------------
-    # Drain
-    # ------------------------------------------------------------------
-
-    def _drain_loop(self):
-        self._drain_requested.wait()
-        _events.emit("fleet.drain.begin", queue_depth=len(self.queue),
-                     in_flight=self._in_flight)
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        deadline = time.monotonic() + self.config.drain_timeout_s
-        with self._lock:
-            while self._in_flight > 0 and time.monotonic() < deadline:
-                self._inflight_zero.wait(timeout=0.1)
-        for _ in self._forwarders:
-            self.queue.put_control(_STOP)
-        for thread in self._forwarders:
-            thread.join(max(0.1, deadline - time.monotonic()))
-        self.manager.stop()
-        if self._family == "unix":
-            try:
-                os.unlink(self.config.address)
-            except OSError:
-                pass
-        _events.emit("fleet.drain.finish", clean=self._in_flight <= 0)
-        self.drained.set()
-
-
-# ----------------------------------------------------------------------
-# CLI entry point
-# ----------------------------------------------------------------------
 
 def fleet_main(config, stats_json=None, trace=False):
     """Run a gateway (and its shard fleet) until SIGTERM/shutdown."""
-    import json
-    import signal
-
-    from repro import obs
-    from repro.obs import report as obs_report
-
-    if stats_json or trace or config.events_path:
-        obs.enable()
-    if config.events_path:
-        _events.configure(config.events_path)
-    try:
-        gateway = FleetGateway(config).start()
-    except (OSError, RuntimeError) as error:
-        print("repro-fleet: %s" % error, file=sys.stderr, flush=True)
-        if config.events_path:
-            _events.unconfigure()
-        return 1
-    print("repro-fleet: gateway on %s (%d shards, %d forwarders, pid %d)"
-          % (config.address, config.shards, config.forwarders,
-             os.getpid()), file=sys.stderr, flush=True)
-
-    def _request_drain(_signum=None, _frame=None):
-        gateway.request_drain()
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(signum, _request_drain)
-        except ValueError:
-            pass
-    while not gateway.wait_drained(timeout=0.2):
-        pass
-    obs.disable()
-    if config.events_path:
-        _events.unconfigure()
-    report = obs_report.build_report()
-    report["fleet"]["shards"] = gateway.manager.shard_table()
-    if stats_json:
-        with open(stats_json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    fleet = report["fleet"]
-    print("repro-fleet: drained (%d requests, %d forwarded, "
-          "%d rerouted, %d retries, %d hot restarts)"
-          % (fleet["requests"], fleet["forwarded"], fleet["rerouted"],
-             fleet["retries"], fleet["hot_restarts"]),
-          file=sys.stderr, flush=True)
-    return 0
+    return server.main(FleetGateway(config), stats_json, trace)

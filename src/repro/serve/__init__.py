@@ -17,10 +17,15 @@ Layers:
   request/response builders;
 * :mod:`repro.serve.ops`      — request handlers (tool dispatch by
   name, warm-analysis coalescing);
-* :mod:`repro.serve.daemon`   — ``EditServer``: bounded admission
-  queue with backpressure, worker pool with per-request timeouts and
-  bounded retry-with-backoff, graceful SIGTERM drain, and degraded
-  serial fallback when the pool is unhealthy;
+* :mod:`repro.serve.server`   — the server skeleton both servers
+  share: listener, per-connection framing, trace tagging, admission
+  with in-flight accounting, per-request timeouts, graceful SIGTERM
+  drain, and the foreground ``main``;
+* :mod:`repro.serve.daemon`   — ``EditServer``, the skeleton's
+  worker-pool backend: bounded admission queue with backpressure,
+  bounded retry-with-backoff, and degraded serial fallback when the
+  pool is unhealthy (:mod:`repro.fleet`'s gateway is the other
+  backend);
 * :mod:`repro.serve.client`   — ``ServeClient`` plus the ``repro
   client`` command.
 

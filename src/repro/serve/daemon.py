@@ -1,11 +1,12 @@
-"""The edit server: admission, workers, drain, and degradation.
+"""The edit daemon: the worker-pool backend of the server skeleton.
 
-Concurrency model — one thread per accepted connection parses requests
-and waits for their results; a bounded :class:`queue.Queue` is the
-admission queue (its bound *is* the backpressure: a full queue turns
-into an ``overloaded`` response with ``retry_after``, never into
-unbounded growth); ``jobs`` worker threads execute requests with
-bounded retry-with-backoff for transient failures.  A worker killed by
+:mod:`repro.serve.server` owns the socket, the connections, admission
+and drain; this module supplies what a daemon does with an admitted
+request.  A bounded :class:`queue.Queue` is the admission queue (its
+bound *is* the backpressure: a full queue turns into an ``overloaded``
+response with ``retry_after``, never into unbounded growth); ``jobs``
+worker threads execute requests with bounded retry-with-backoff for
+transient failures.  A worker killed by
 :class:`~repro.serve.ops.WorkerDeath` is replaced from a finite
 restart budget; once the budget is spent and no normal worker
 survives, a single immortal fallback worker serves the queue serially
@@ -16,11 +17,8 @@ in-memory warm layer is enabled, so all requests share one warm
 analysis state under one lock discipline.
 """
 
-import errno
 import os
 import queue
-import socket
-import sys
 import threading
 import time
 from collections import OrderedDict
@@ -30,7 +28,7 @@ from repro.obs import context as _context
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.serve import ops, protocol
+from repro.serve import ops, protocol, server
 from repro.serve.config import ServeConfig
 
 _C_REQUESTS = _metrics.counter("serve.requests")
@@ -52,79 +50,28 @@ _STOP = object()  # queue sentinel: worker exits cleanly
 _WARM_KEYS_CAP = 64  # recent workloads remembered for hot-restart handoff
 
 
-def socket_in_use(path):
-    """True when a live daemon still answers connections at *path*.
+class EditServer(server.Server):
+    """Long-lived edit daemon over a Unix (or ``tcp://``) stream socket."""
 
-    Distinguishes a *stale* socket file (the previous daemon was
-    killed; connecting is refused) from a *live* one (another daemon is
-    serving it right now).  Unlinking a live daemon's socket would
-    silently steal its rendezvous point — two daemons would both
-    believe they own the path while only the thief receives
-    connections.
-    """
-    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    probe.settimeout(0.5)
-    try:
-        probe.connect(path)
-    except OSError:
-        return False  # refused / gone / not a socket: safe to clobber
-    finally:
-        try:
-            probe.close()
-        except OSError:
-            pass
-    return True
-
-
-class _Job:
-    """One admitted request travelling from connection to worker."""
-
-    __slots__ = ("id", "op", "params", "attempts", "done", "response",
-                 "abandoned", "context", "admitted")
-
-    def __init__(self, request_id, op, params, context=None):
-        self.id = request_id
-        self.op = op
-        self.params = params
-        self.attempts = 0
-        self.done = threading.Event()
-        self.response = None
-        self.abandoned = False  # requester gave up (timeout); drop result
-        self.context = context  # TraceContext the request travels under
-        self.admitted = perf_counter()
-
-    def finish(self, response):
-        self.response = response
-        self.done.set()
-
-
-class EditServer:
-    """Long-lived server over a Unix stream socket.
-
-    Lifecycle: ``start()`` binds and spawns threads; ``request_drain()``
-    (SIGTERM, the ``shutdown`` op, or a test) begins graceful shutdown;
-    ``wait_drained()`` blocks until in-flight work finished and every
-    worker exited.
-    """
+    name, prog, role = "serve", "repro-serve", "daemon"
+    start_event, drain_event = "daemon.start", "drain"
+    counters = server.Counters(
+        requests=_C_REQUESTS, ok=_C_OK, errors=_C_ERRORS,
+        draining=_C_DRAINING, overloaded=_C_QUEUE_FULL,
+        timeouts=_C_TIMEOUTS)
 
     def __init__(self, config=None):
-        self.config = config or ServeConfig()
-        self.started_at = None
-        self._listener = None
-        self._queue = queue.Queue(maxsize=self.config.queue_size)
-        self._lock = threading.Lock()
-        self._threads = []            # acceptor + drainer (joinable)
+        config = config or ServeConfig()
+        super().__init__(config, config.socket_path)
+        self.shard_id = config.shard_id
+        self._queue = queue.Queue(maxsize=config.queue_size)
         self._workers = {}            # thread -> True while alive
         self._restarts_used = 0
         self._fallback_started = False
-        self._in_flight = 0
-        self._inflight_zero = threading.Condition(self._lock)
         self._coalesce_lock = threading.Lock()
         self._coalescing = {}         # key -> Event of the leading request
         self._chaos_lock = threading.Lock()
         self._chaos_counts = {}
-        self._drain_requested = threading.Event()
-        self.drained = threading.Event()
         self._worker_states = {}      # thread name -> "idle" | op name
         self._top_lock = threading.Lock()
         self._top_cursor = 0
@@ -133,65 +80,72 @@ class EditServer:
         self._warm_keys = OrderedDict()  # workload name -> True (LRU)
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Backend hooks of the server skeleton
     # ------------------------------------------------------------------
 
-    def start(self):
-        """Bind the socket, warm the caches, spawn the thread pool."""
+    def _start_backend(self):
+        """Warm the caches, spawn the worker pool."""
         from repro.cache import enable_memory_layer
 
         enable_memory_layer(self.config.warm_cap)
-        path = self.config.socket_path
-        if os.path.exists(path):
-            # Probe before unlink: a *stale* socket (previous daemon
-            # was killed) is clobbered; a *live* one is refused, so two
-            # daemons can never silently steal each other's path.
-            if socket_in_use(path):
-                raise OSError(errno.EADDRINUSE,
-                              "socket %s is served by a live daemon; "
-                              "refusing to steal it" % path)
-            os.unlink(path)
-        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._listener.bind(path)
-        # Backlog sized for a whole client fleet connecting at once;
-        # the kernel clamps to net.core.somaxconn.
-        self._listener.listen(min(socket.SOMAXCONN, 512))
-        self._listener.settimeout(0.2)
-        self.started_at = time.monotonic()
         for _ in range(self.config.jobs):
             self._spawn_worker()
-        for target, name in ((self._accept_loop, "serve-accept"),
-                             (self._drain_loop, "serve-drain")):
-            thread = threading.Thread(target=target, name=name, daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        return self
 
-    def request_drain(self):
-        """Begin graceful shutdown (idempotent, signal-safe)."""
-        self._drain_requested.set()
+    def _start_fields(self):
+        return {"socket": self.address, "jobs": self.config.jobs,
+                "queue_size": self.config.queue_size,
+                "tracing": _trace.is_enabled()}
 
-    def wait_drained(self, timeout=None):
-        return self.drained.wait(timeout)
+    def _submit(self, job):
+        try:
+            self._queue.put_nowait(job)
+        except queue.Full:
+            return False
+        return True
+
+    def _queue_depth(self):
+        return self._queue.qsize()
+
+    def _wait_deadline(self):
+        return self.config.timeout_s
+
+    def _stop(self, deadline):
+        """Dismiss the workers and join them: no orphans."""
+        with self._lock:
+            workers = list(self._workers)
+        for _ in workers:
+            try:
+                self._queue.put(_STOP, timeout=1.0)
+            except queue.Full:
+                break
+        for thread in workers:
+            thread.join(max(0.1, deadline - time.monotonic()))
+        return {"degraded": self._fallback_started,
+                "worker_deaths": _C_DEATHS.value}
+
+    def banner(self):
+        shard_tag = "" if self.shard_id is None \
+            else ", shard %d" % self.shard_id
+        return "listening on %s (%d workers, queue %d, pid %d%s)" % (
+            self.address, self.config.jobs, self.config.queue_size,
+            os.getpid(), shard_tag)
+
+    def summary(self, report):
+        serve = report["serve"]
+        return ("drained cleanly (%d requests: %d ok, %d errors, "
+                "%d rejected, %d timeouts)"
+                % (serve["requests"], serve["ok"], serve["errors"],
+                   serve["rejected"], serve["timeouts"]))
 
     def describe(self):
         with self._lock:
             alive = len(self._workers)
             degraded = self._fallback_started
             states = dict(self._worker_states)
-        return {
-            "pid": os.getpid(),
-            "shard": self.config.shard_id,
-            "socket": self.config.socket_path,
-            "jobs": self.config.jobs,
-            "workers_alive": alive,
-            "worker_states": states,
-            "degraded": degraded,
-            "draining": self._drain_requested.is_set(),
-            "queue_depth": self._queue.qsize(),
-            "uptime_s": time.monotonic() - self.started_at
-            if self.started_at is not None else 0.0,
-        }
+        return dict(super().describe(),
+                    shard=self.shard_id, socket=self.address,
+                    jobs=self.config.jobs, workers_alive=alive,
+                    worker_states=states, degraded=degraded)
 
     def top_snapshot(self, cursor=None):
         """Incremental metrics snapshot for the ``top`` op.
@@ -288,126 +242,14 @@ class EditServer:
             return list(self._warm_keys)
 
     # ------------------------------------------------------------------
-    # Accept / connection handling
-    # ------------------------------------------------------------------
-
-    def _accept_loop(self):
-        while not self._drain_requested.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break  # listener closed underneath us
-            thread = threading.Thread(target=self._serve_connection,
-                                      args=(conn,), daemon=True)
-            thread.start()
-
-    def _serve_connection(self, conn):
-        reader = protocol.LineReader(conn)
-        try:
-            while True:
-                try:
-                    message = reader.next_message()
-                except protocol.ProtocolError as error:
-                    conn.sendall(protocol.encode(protocol.error_response(
-                        None, protocol.E_BAD_REQUEST, str(error))))
-                    return
-                if message is None:
-                    return
-                response = self._handle_request(message)
-                if response is not None:
-                    conn.sendall(protocol.encode(response))
-        except OSError:
-            pass  # peer went away; nothing to tell it
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _handle_request(self, message):
-        request_id = message.get("id")
-        op = message.get("op")
-        # Adopt the client's trace context, or mint one: every request
-        # is attributable in the event log either way.
-        ctx = _context.TraceContext.from_wire(message.get("trace")) \
-            or _context.TraceContext()
-        _C_REQUESTS.inc()
-
-        def _tagged(response):
-            if isinstance(response, dict):
-                response.setdefault("trace_id", ctx.trace_id)
-                if self.config.shard_id is not None:
-                    response.setdefault("shard", self.config.shard_id)
-            return response
-
-        if not isinstance(op, str):
-            _C_ERRORS.inc()
-            return _tagged(protocol.error_response(
-                request_id, protocol.E_BAD_REQUEST,
-                "request needs a string 'op'"))
-        if op == "shutdown":
-            self.request_drain()
-            _C_OK.inc()
-            return _tagged(protocol.ok_response(request_id,
-                                                {"draining": True}))
-        if self._drain_requested.is_set():
-            _C_DRAINING.inc()
-            _events.emit("request.error", trace_id=ctx.trace_id,
-                         id=request_id, op=op, code=protocol.E_DRAINING)
-            # retry_after: under a fleet, a draining shard is being
-            # replaced — a brief client backoff usually lands on the
-            # warm successor instead of failing.
-            return _tagged(protocol.error_response(
-                request_id, protocol.E_DRAINING, "daemon is draining",
-                retry_after=self.config.retry_after_s))
-        params = {key: value for key, value in message.items()
-                  if key not in ("id", "op", "trace")}
-        job = _Job(request_id, op, params, context=ctx)
-        _events.emit("request.admit", trace_id=ctx.trace_id,
-                     id=request_id, op=op,
-                     queue_depth=self._queue.qsize())
-        # Count the job in flight *before* it is visible to workers: a
-        # worker finishing it instantly must never see the count at 0.
-        with self._lock:
-            self._in_flight += 1
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            self._job_finished(job)
-            _C_QUEUE_FULL.inc()
-            _events.emit("request.error", trace_id=ctx.trace_id,
-                         id=request_id, op=op,
-                         code=protocol.E_OVERLOADED,
-                         queue_depth=self.config.queue_size)
-            return _tagged(protocol.error_response(
-                request_id, protocol.E_OVERLOADED,
-                "admission queue is full (%d waiting)"
-                % self.config.queue_size,
-                retry_after=self.config.retry_after_s))
-        if not job.done.wait(self.config.timeout_s):
-            job.abandoned = True
-            _C_TIMEOUTS.inc()
-            _events.emit("request.error", trace_id=ctx.trace_id,
-                         id=request_id, op=op, code=protocol.E_TIMEOUT,
-                         timeout_s=self.config.timeout_s)
-            return _tagged(protocol.error_response(
-                request_id, protocol.E_TIMEOUT,
-                "request exceeded %.1fs" % self.config.timeout_s,
-                retry_after=self.config.retry_after_s))
-        return _tagged(job.response)
-
-    # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
 
     def _spawn_worker(self, fallback=False):
         name = "serve-fallback" if fallback else \
             "serve-worker-%d" % len(self._workers)
-        thread = threading.Thread(
-            target=self._fallback_loop if fallback else self._worker_loop,
-            name=name, daemon=True)
+        thread = threading.Thread(target=self._worker_loop, args=(fallback,),
+                                  name=name, daemon=True)
         with self._lock:
             self._workers[thread] = True
         thread.start()
@@ -417,33 +259,14 @@ class EditServer:
         with self._lock:
             self._worker_states[threading.current_thread().name] = state
 
-    def _worker_loop(self):
-        self._set_worker_state("idle")
-        while True:
-            job = self._queue.get()
-            if job is _STOP:
-                self._remove_worker()
-                return
-            try:
-                self._set_worker_state(job.op)
-                self._execute(job)
-                self._job_finished(job)
-                self._set_worker_state("idle")
-            except ops.WorkerDeath as death:
-                _C_DEATHS.inc()
-                _events.emit("worker.death",
-                             worker=threading.current_thread().name,
-                             op=job.op, reason=str(death))
-                self._reschedule_after_death(job, death)
-                self._remove_worker()
-                self._replace_worker()
-                return
+    def _worker_loop(self, fallback=False):
+        """Execute queued jobs until dismissed.
 
-    def _fallback_loop(self):
-        """Serial in-process execution once the pool is unhealthy.
-
-        Catches WorkerDeath instead of dying: with the restart budget
-        spent, staying alive serially beats going dark.
+        A normal worker dies with its job on WorkerDeath: the job is
+        requeued within budget and the worker replaced.  The fallback
+        worker (serial execution once the pool is unhealthy) catches it
+        instead: with the restart budget spent, staying alive serially
+        beats going dark.
         """
         self._set_worker_state("idle")
         while True:
@@ -451,7 +274,8 @@ class EditServer:
             if job is _STOP:
                 self._remove_worker()
                 return
-            _C_DEGRADED.inc()
+            if fallback:
+                _C_DEGRADED.inc()
             try:
                 self._set_worker_state(job.op)
                 self._execute(job)
@@ -459,7 +283,12 @@ class EditServer:
                 _C_DEATHS.inc()
                 _events.emit("worker.death",
                              worker=threading.current_thread().name,
-                             op=job.op, degraded=True, reason=str(death))
+                             op=job.op, degraded=fallback, reason=str(death))
+                if not fallback:
+                    self._reschedule_after_death(job, death)
+                    self._remove_worker()
+                    self._replace_worker()
+                    return
                 job.finish(protocol.error_response(
                     job.id, protocol.E_INTERNAL,
                     "worker death in degraded mode: %s" % death))
@@ -524,35 +353,14 @@ class EditServer:
             handler_s = perf_counter() - started
             _metrics.histogram("serve.latency.%s" % job.op) \
                 .observe(handler_s)
-            self._emit_request_event(job, status, code, queue_wait,
-                                     handler_s, root_span)
-
-    def _emit_request_event(self, job, status, code, queue_wait,
-                            handler_s, root_span):
-        if not _events.is_configured():
-            return
-        fields = {
-            "trace_id": job.context.trace_id if job.context else None,
-            "id": job.id,
-            "op": job.op,
-            "queue_wait_s": queue_wait,
-            "handler_s": handler_s,
-            "attempts": job.attempts,
-        }
-        if job.abandoned:
-            fields["abandoned"] = True
-        if not job.done.is_set() and status == "ok":
-            # WorkerDeath unwound dispatch before a response landed.
-            status, code = "error", protocol.E_INTERNAL
-        if status == "ok":
-            if isinstance(root_span, _trace.Span):
-                fields["spans"] = [root_span.to_dict()]
-            _events.emit("request.finish", **fields)
-        else:
-            fields["code"] = code or protocol.E_INTERNAL
-            if isinstance(root_span, _trace.Span):
-                fields["spans"] = [root_span.to_dict()]
-            _events.emit("request.error", **fields)
+            if not job.done.is_set() and status == "ok":
+                # WorkerDeath unwound dispatch before a response landed.
+                status, code = "error", protocol.E_INTERNAL
+            extra = {"abandoned": True} if job.abandoned else {}
+            self._emit_request_event(job, status, code, root_span,
+                                     queue_wait_s=queue_wait,
+                                     handler_s=handler_s,
+                                     attempts=job.attempts, **extra)
 
     def _reschedule_after_death(self, job, death):
         """Worker death mid-job is transient: requeue within budget."""
@@ -562,8 +370,7 @@ class EditServer:
             try:
                 self._queue.put_nowait(job)
                 _events.emit("request.requeued",
-                             trace_id=job.context.trace_id
-                             if job.context else None,
+                             trace_id=job.context.trace_id,
                              id=job.id, op=job.op, attempts=job.attempts)
                 return  # stays in flight; a surviving worker picks it up
             except queue.Full:
@@ -572,14 +379,6 @@ class EditServer:
         job.finish(protocol.error_response(
             job.id, protocol.E_INTERNAL, "worker died: %s" % death))
         self._job_finished(job)
-
-    def _job_finished(self, job):
-        if not job.done.is_set():
-            job.finish(None)
-        with self._lock:
-            self._in_flight -= 1
-            if self._in_flight <= 0:
-                self._inflight_zero.notify_all()
 
     def _remove_worker(self):
         with self._lock:
@@ -604,50 +403,6 @@ class EditServer:
                          restarts_budget=self.config.restarts)
         self._spawn_worker(fallback=fallback)
 
-    # ------------------------------------------------------------------
-    # Drain
-    # ------------------------------------------------------------------
-
-    def _drain_loop(self):
-        self._drain_requested.wait()
-        _events.emit("drain.begin", queue_depth=self._queue.qsize(),
-                     in_flight=self._in_flight)
-        deadline = time.monotonic() + self.config.drain_timeout_s
-        # 1. Stop accepting: the accept loop exits on the drain flag;
-        #    closing the listener unblocks it immediately.
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        # 2. Finish in-flight work (admitted jobs; open connections are
-        #    already getting 'draining' rejections for anything new).
-        with self._lock:
-            while self._in_flight > 0 and time.monotonic() < deadline:
-                self._inflight_zero.wait(timeout=0.1)
-        # 3. Dismiss workers and join them: no orphans.
-        with self._lock:
-            workers = list(self._workers)
-        for _ in workers:
-            try:
-                self._queue.put(_STOP, timeout=1.0)
-            except queue.Full:
-                break
-        for thread in workers:
-            thread.join(max(0.1, deadline - time.monotonic()))
-        try:
-            os.unlink(self.config.socket_path)
-        except OSError:
-            pass
-        _events.emit("drain.finish",
-                     clean=self._in_flight <= 0,
-                     degraded=self._fallback_started,
-                     worker_deaths=_C_DEATHS.value)
-        self.drained.set()
-
-
-# ----------------------------------------------------------------------
-# CLI entry point
-# ----------------------------------------------------------------------
 
 def serve_main(config, stats_json=None, trace=False):
     """Run a daemon in the foreground until SIGTERM/SIGINT/shutdown.
@@ -656,61 +411,4 @@ def serve_main(config, stats_json=None, trace=False):
     when tracing, the span forest — is flushed to *stats_json* and a
     one-line summary goes to stderr.  Returns the process exit code.
     """
-    import json
-    import signal
-
-    from repro import obs
-    from repro.obs import report as obs_report
-
-    if stats_json or trace:
-        obs.enable()
-    if config.events_path:
-        _events.configure(config.events_path)
-        if config.shard_id is not None:
-            # Every record this process writes names its shard.
-            _events.bind(shard=config.shard_id)
-    try:
-        server = EditServer(config).start()
-    except OSError as error:
-        print("repro-serve: %s" % error, file=sys.stderr, flush=True)
-        if config.events_path:
-            _events.unconfigure()
-        return 1
-    _events.emit("daemon.start", pid=os.getpid(),
-                 socket=config.socket_path, jobs=config.jobs,
-                 queue_size=config.queue_size,
-                 tracing=bool(stats_json or trace))
-    shard_tag = "" if config.shard_id is None \
-        else ", shard %d" % config.shard_id
-    print("repro-serve: listening on %s (%d workers, queue %d, pid %d%s)"
-          % (config.socket_path, config.jobs, config.queue_size,
-             os.getpid(), shard_tag), file=sys.stderr, flush=True)
-
-    def _request_drain(_signum=None, _frame=None):
-        server.request_drain()
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(signum, _request_drain)
-        except ValueError:
-            pass  # not the main thread (embedded use)
-    # Chunked waits keep the main thread responsive to signals.
-    while not server.wait_drained(timeout=0.2):
-        pass
-    obs.disable()
-    if config.events_path:
-        _events.unconfigure()
-    report = obs_report.build_report()
-    if stats_json:
-        with open(stats_json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if trace:
-        obs_report.render(report)
-    serve = report["serve"]
-    print("repro-serve: drained cleanly (%d requests: %d ok, %d errors, "
-          "%d rejected, %d timeouts)"
-          % (serve["requests"], serve["ok"], serve["errors"],
-             serve["rejected"], serve["timeouts"]),
-          file=sys.stderr, flush=True)
-    return 0
+    return server.main(EditServer(config), stats_json, trace)

@@ -119,8 +119,8 @@ def _op_ping(server, params):
     import os
 
     result = {"pong": True, "protocol": PROTOCOL, "pid": os.getpid()}
-    if server.config.shard_id is not None:
-        result["shard"] = server.config.shard_id
+    if server.shard_id is not None:
+        result["shard"] = server.shard_id
     return result
 
 
@@ -239,9 +239,7 @@ def _op_verify(server, params):
 
 
 def _op_stats(server, params):
-    from repro.obs import report as obs_report
-
-    report = obs_report.build_report()
+    report = server.report()
     sections = params.get("sections")
     if sections is not None:
         if not isinstance(sections, list) \

@@ -16,8 +16,6 @@ import pytest
 
 from repro.fleet import (
     AdmissionQueue,
-    FleetConfig,
-    FleetGateway,
     content_key,
     preference,
     priority_class,
@@ -125,32 +123,6 @@ def test_get_times_out_empty():
 # ----------------------------------------------------------------------
 # Gateway integration (real shard subprocesses)
 # ----------------------------------------------------------------------
-
-@pytest.fixture
-def make_fleet(tmp_path):
-    started = []
-
-    def _make(**overrides):
-        overrides.setdefault("address", str(tmp_path / "gw.sock"))
-        overrides.setdefault("run_dir", str(tmp_path / "fleet"))
-        overrides.setdefault("shards", 2)
-        overrides.setdefault("shard_jobs", 1)
-        overrides.setdefault("forwarders", 4)
-        overrides.setdefault("health_interval_s", 0.2)
-        overrides.setdefault("shard_timeout_s", 30.0)
-        overrides.setdefault("drain_timeout_s", 10.0)
-        gateway = FleetGateway(FleetConfig(**overrides)).start()
-        started.append(gateway)
-        return gateway
-
-    try:
-        yield _make
-    finally:
-        for gateway in started:
-            gateway.request_drain()
-        for gateway in started:
-            assert gateway.wait_drained(30.0), "gateway failed to drain"
-
 
 def _client(gateway, **kwargs):
     kwargs.setdefault("retries", 8)

@@ -29,38 +29,19 @@ def _counter(name):
     return metrics.counter(name).value
 
 
-@pytest.fixture
-def make_server(tmp_path):
-    """Start real in-process servers; drain them all at teardown."""
-    from repro.cache import disable_memory_layer
-
-    started = []
-
-    def _make(**overrides):
-        overrides.setdefault("socket_path",
-                             str(tmp_path / ("s%d.sock" % len(started))))
-        overrides.setdefault("jobs", 2)
-        overrides.setdefault("timeout_s", 20.0)
-        overrides.setdefault("drain_timeout_s", 10.0)
-        server = EditServer(ServeConfig(**overrides)).start()
-        started.append(server)
-        return server
-
-    try:
-        yield _make
-    finally:
-        for server in started:
-            server.request_drain()
-        for server in started:
-            assert server.wait_drained(15.0), "server failed to drain"
-        # The daemon turns on the process-global warm layer; turn it
-        # off for the rest of the suite.
-        disable_memory_layer()
-
-
 def _client(server, **kwargs):
     kwargs.setdefault("retries", 0)
-    return ServeClient(server.config.socket_path, **kwargs)
+    return ServeClient(server.address, **kwargs)
+
+
+@pytest.fixture(params=("daemon", "fleet"))
+def any_server(request):
+    """``make_server`` or a one-shard ``make_fleet``: the protocol front
+    end both servers share runs the tests that take this fixture."""
+    if request.param == "daemon":
+        return request.getfixturevalue("make_server")
+    make_fleet = request.getfixturevalue("make_fleet")
+    return lambda: make_fleet(shards=1)
 
 
 # ----------------------------------------------------------------------
@@ -422,20 +403,34 @@ def test_cli_client_without_daemon_fails_cleanly(tmp_path, capsys):
 # Socket startup: stale paths clobbered, live daemons never robbed
 # ----------------------------------------------------------------------
 
-def test_startup_refuses_to_steal_live_socket(make_server):
-    """Two daemons pointed at one path: the second must refuse, and the
+def test_startup_refuses_to_steal_live_socket(any_server, tmp_path):
+    """Two servers pointed at one path: the second must refuse, and the
     first must keep receiving connections (the unlink race fix)."""
     import errno
 
-    server = make_server()
-    rival = EditServer(ServeConfig(
-        socket_path=server.config.socket_path, jobs=1))
+    from repro.fleet import FleetConfig, FleetGateway
+
+    server = any_server()
+    if isinstance(server, EditServer):
+        rival = EditServer(ServeConfig(socket_path=server.address, jobs=1))
+    else:
+        rival = FleetGateway(FleetConfig(address=server.address, shards=1,
+                                         run_dir=str(tmp_path / "rival")))
     with pytest.raises(OSError) as err:
         rival.start()
     assert err.value.errno == errno.EADDRINUSE
     # The incumbent survived the attempted theft.
     with _client(server) as client:
         assert client.ping()["pong"] is True
+
+
+def test_serve_main_reports_malformed_address(capsys):
+    """A bad ``tcp://`` address is a one-line error and exit 1, not a
+    traceback."""
+    from repro.serve import serve_main
+
+    assert serve_main(ServeConfig(socket_path="tcp://nohost")) == 1
+    assert "bad TCP address" in capsys.readouterr().err
 
 
 def test_startup_clobbers_stale_socket(tmp_path, make_server):
@@ -449,6 +444,75 @@ def test_startup_clobbers_stale_socket(tmp_path, make_server):
     server = make_server(socket_path=path)
     with _client(server) as client:
         assert client.ping()["pong"] is True
+
+
+# ----------------------------------------------------------------------
+# Server-side framing and the common request path, over both servers
+# ----------------------------------------------------------------------
+
+def _raw_connection(server):
+    conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    conn.settimeout(30.0)
+    conn.connect(server.address)
+    return conn
+
+
+def test_framing_errors_answer_bad_request_then_close(any_server):
+    """A line that is not JSON, or JSON that is not an object, gets one
+    ``bad_request`` answer with a null id; then the server hangs up."""
+    server = any_server()
+    for line in (b"\xff\xfe{garbage\n", b"[1, 2]\n"):
+        with _raw_connection(server) as conn:
+            conn.sendall(line)
+            with conn.makefile("rb") as stream:
+                answers = stream.read().splitlines()  # to EOF
+        assert len(answers) == 1, answers
+        answer = json.loads(answers[0])
+        assert answer["ok"] is False
+        assert answer["id"] is None
+        assert answer["error"]["code"] == protocol.E_BAD_REQUEST
+
+
+def test_open_connection_bad_op_trace_echo_and_draining(any_server):
+    """On one open connection: a non-string op is a ``bad_request``
+    that keeps the connection, a client trace id is echoed, and after
+    drain begins requests get ``draining`` with ``retry_after``."""
+    from repro.obs.context import TraceContext
+
+    server = any_server()
+    with _raw_connection(server) as conn, conn.makefile("rwb") as stream:
+        def ask(message):
+            stream.write(protocol.encode(message))
+            stream.flush()
+            return json.loads(stream.readline())
+
+        bad = ask({"id": 7, "op": 5})
+        assert bad["id"] == 7
+        assert bad["error"]["code"] == protocol.E_BAD_REQUEST
+        assert bad["trace_id"]  # minted: every answer is attributable
+        ctx = TraceContext()
+        pong = ask({"id": 8, "op": "ping", "trace": ctx.to_wire()})
+        assert pong["ok"] is True
+        assert pong["trace_id"] == ctx.trace_id
+        server.request_drain()
+        late = ask({"id": 9, "op": "ping"})
+        assert late["id"] == 9
+        assert late["error"]["code"] == protocol.E_DRAINING
+        assert late["retry_after"] == server.config.retry_after_s
+    assert server.wait_drained(30.0)
+
+
+def test_stats_sections_validated(any_server):
+    """``stats`` answers a malformed or unknown ``sections`` list with
+    ``bad_request``, and a valid one with just those sections."""
+    server = any_server()
+    with _client(server) as client:
+        for sections in ("counters", [1], ["counters", "no_such_section"]):
+            with pytest.raises(ServeError) as err:
+                client.request("stats", sections=sections)
+            assert err.value.code == protocol.E_BAD_REQUEST
+        report = client.request("stats", sections=["counters"])["report"]
+        assert sorted(report) == ["counters", "schema"]
 
 
 # ----------------------------------------------------------------------
@@ -659,6 +723,37 @@ def test_client_span_parents_daemon_tree(make_server, tmp_path):
     assert record.trace_id == client_span["trace_id"]
     root = record.spans[0]
     assert root["parent_span_id"] == client_span["span_id"]
+
+
+def test_serve_main_events_log_alone_records_span_trees(tmp_path):
+    """``repro serve --events`` with no --trace or --stats-json still
+    writes each finished request's span tree into the event log."""
+    from repro.cache import disable_memory_layer
+    from repro.obs import events as obs_events
+    from repro.serve import serve_main
+
+    sock = str(tmp_path / "d.sock")
+    events_path = str(tmp_path / "events.jsonl")
+    config = ServeConfig(socket_path=sock, jobs=1, events_path=events_path)
+    exit_codes = []
+    thread = threading.Thread(
+        target=lambda: exit_codes.append(serve_main(config)))
+    thread.start()
+    try:
+        assert wait_for_daemon(sock, timeout=30.0), "daemon never came up"
+        with ServeClient(sock) as client:
+            assert client.run_workload("fib")["exit_code"] == 0
+    finally:
+        with ServeClient(sock, retries=0) as client:
+            client.shutdown()
+        thread.join(30)
+        disable_memory_layer()
+    assert not thread.is_alive()
+    assert exit_codes == [0]
+    traces = obs_events.build_traces(obs_events.load_events(events_path))
+    record = next(r for r in traces.values() if r.op == "run")
+    assert record.finish is not None
+    assert record.spans and record.spans[0]["name"] == "serve.request"
 
 
 # ----------------------------------------------------------------------
