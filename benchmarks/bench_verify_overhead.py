@@ -61,3 +61,35 @@ def test_verify_overhead(tmp_path, monkeypatch):
         "verification costs %.1fx a plain run (budget %.1fx)"
         % (factor, MAX_OVERHEAD_FACTOR))
     assert memoized < full
+
+
+FUZZ_SEEDS = range(1, 17)
+
+
+def test_fuzz_seeds_per_min(monkeypatch):
+    """Throughput of the verified-metadata fuzz campaign: each seed is
+    generated, analyzed through ``.eel.meta``, checked, instrumented
+    with every tool and verified, so verification dominates.  Recorded
+    only (no gate)."""
+    from repro.fuzz.campaign import classify_seed
+    from repro.obs import metrics
+
+    monkeypatch.setenv("REPRO_CACHE", "off")  # as the campaign runs
+    compiles = metrics.counter("sim.blocks.compiles")
+    compiles_before = compiles.value
+    started = time.perf_counter()
+    outcomes = {seed: classify_seed(seed, meta_mode="emit")
+                for seed in FUZZ_SEEDS}
+    elapsed = time.perf_counter() - started
+    unclean = {seed: outcome for seed, outcome in outcomes.items()
+               if outcome[0] != "clean"}
+    assert not unclean, unclean
+    seeds_per_min = len(FUZZ_SEEDS) * 60.0 / elapsed
+    compiles_per_seed = (compiles.value - compiles_before) / len(FUZZ_SEEDS)
+    report("Fuzz campaign with verified metadata (%d seeds)"
+           % len(FUZZ_SEEDS),
+           [("metric", "value"),
+            ("seeds/min", "%.0f" % seeds_per_min),
+            ("block compiles/seed", "%.1f" % compiles_per_seed)])
+    record("verify_overhead.fuzz.seeds_per_min", seeds_per_min, "1/min")
+    record("verify_overhead.fuzz.compiles_per_seed", compiles_per_seed, "")

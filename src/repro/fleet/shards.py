@@ -37,6 +37,27 @@ _C_HOT_RESTARTS = _metrics.counter("fleet.hot_restarts")
 
 _RECENT_CAP = 64  # per-slot LRU of workloads, the respawn warm set
 
+# How long a shard declared dead gets to exit after SIGTERM, and then
+# after SIGKILL, before its slot is respawned regardless.
+_STOP_GRACE_S = 2.0
+
+
+def _stop_process(process, grace_s=_STOP_GRACE_S):
+    """SIGTERM *process*, then SIGKILL it if it outlives *grace_s*.
+
+    Bounded: returns after at most two grace periods even if the
+    process survives SIGKILL (an uninterruptible hang), so callers
+    holding a lock never wait on it longer than that."""
+    for send in (process.terminate, process.kill):
+        if process.poll() is not None:
+            return
+        send()
+        try:
+            process.wait(timeout=grace_s)
+            return
+        except subprocess.TimeoutExpired:
+            pass
+
 
 class ShardSlot:
     """One routing slot: a shard process plus its gateway-side state."""
@@ -202,12 +223,7 @@ class ShardManager:
         try:
             process.wait(timeout=timeout_s)
         except subprocess.TimeoutExpired:
-            process.terminate()
-            try:
-                process.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
+            _stop_process(process, grace_s=5.0)
 
     # ------------------------------------------------------------------
     # Health / failure handling
@@ -247,10 +263,9 @@ class ShardManager:
             _events.emit("fleet.shard_death", shard=slot.index,
                          generation=slot.generation, reason=reason)
             if process is not None:
-                try:  # collect the corpse; never block on a live hang
-                    process.poll()
-                except OSError:
-                    pass
+                # A slow shard that missed one ping is still running:
+                # stop it so the replacement does not run beside it.
+                _stop_process(process)
             if self._stop.is_set() \
                     or slot.respawns >= self.config.respawn_limit:
                 return

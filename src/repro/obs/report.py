@@ -34,7 +34,9 @@ Schema ``repro.obs/1``::
       "sim": { default_engine, instructions, runs,
                flyweight: {hits, misses, compiles, evictions, hit_rate},
                blocks: {hits, misses, compiles, evictions,
-                        invalidations, hit_rate} }
+                        invalidations, hit_rate,
+                        fallback: {cold, budget, uncompilable,
+                                   resume}} }
     }
 
 Benchmark results use schema ``repro.obs.bench/1``::
@@ -85,11 +87,15 @@ for _name in ("requests", "forwarded", "rerouted", "retries",
 # And the simulator engines: the prepared-op flyweight (per-instruction
 # engine) and the block-compilation cache (block engine) both report
 # here, so a report carries the full key set whichever engine ran.
+# The block engine also counts why it single-stepped, by reason.
+_FALLBACK_REASONS = ("cold", "budget", "uncompilable", "resume")
 for _name in ("instructions", "runs", "flyweight.hits",
               "flyweight.misses", "flyweight.compiles",
               "flyweight.evictions", "blocks.hits", "blocks.misses",
               "blocks.compiles", "blocks.evictions",
-              "blocks.invalidations"):
+              "blocks.invalidations") + tuple(
+                  "blocks.fallback." + reason
+                  for reason in _FALLBACK_REASONS):
     metrics.counter("sim." + _name)
 
 # The incremental fact store (repro.core.facts): derivation, dirty-set,
@@ -290,6 +296,9 @@ def sim_section(counters):
             "evictions": counters.get("sim.blocks.evictions", 0),
             "invalidations": counters.get("sim.blocks.invalidations", 0),
             "hit_rate": _ratio(blk_hits, blk_hits + blk_misses),
+            "fallback": {
+                reason: counters.get("sim.blocks.fallback." + reason, 0)
+                for reason in _FALLBACK_REASONS},
         },
     }
 

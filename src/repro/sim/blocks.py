@@ -72,9 +72,20 @@ from repro.sim.machine import (
 )
 
 # A block compiles only once its entry pc has been looked up this many
-# times: one-shot straight-line code stays on the interpreter (no
-# compile latency), loops compile on their second iteration.
-WARM_THRESHOLD = 2
+# times, in run() and run_until() alike; until then it is single-stepped
+# (a pc another simulator of the same image already compiled binds at
+# once).  Measured on a 2-core x86 host, CPython 3.11: one block compile
+# (emit ~85 us + compile() ~380 us + bind ~6 us) costs ~470 us, while
+# single-stepping costs ~3.4-5 us per instruction against ~0.2-0.4 us
+# compiled.  A typical ~10-instruction block therefore saves ~30-50 us
+# per compiled visit, and a compile pays for itself after ~10-15
+# visits.  Most generated and co-simulated code runs once or twice, so
+# compiling on the second visit wastes the compile; waiting the full
+# break-even leaves every hot loop single-stepping for as long.  8 sits
+# between: fuzz_meta co-simulation ran ~1.45x the throughput of 2, with
+# 16 no better, and cold runs of the workload corpus stayed within the
+# host's noise of 2.
+WARM_THRESHOLD = 8
 
 # Source -> code object memo shared by every simulator in the process.
 # Generated source embeds every constant (pcs, operands, text ranges),
@@ -1210,6 +1221,7 @@ class _BlockMixin(object):
         self._block_caches = {}  # mode -> {entry pc: (max_len, func)}
         self._until_caches = {}  # same, truncated at the active stops
         self._until_stops = None
+        self._until_visits = {}  # run_until's warm-up, per stop set
         self._block_cap = simulator.block_cache_cap
         self._block_max_len = simulator.block_max_len
         self._visits = {}
@@ -1227,6 +1239,14 @@ class _BlockMixin(object):
         self.block_evictions = 0
         self.block_invalidations = 0
         self.fly_hits = 0  # exact single-step prepared-cache hits
+        # Single steps by reason: below the warm threshold, block longer
+        # than the remaining budget, uncompilable pc, and "resume" — pc
+        # inside a delay slot (a run resumed there, or the slot of a
+        # single-stepped CTI).  Their sum is the number of single steps.
+        self.fallback_cold = 0
+        self.fallback_budget = 0
+        self.fallback_uncompilable = 0
+        self.fallback_resume = 0
         ranges = []
         for section in simulator.image.sections.values():
             if section.is_exec:
@@ -1310,6 +1330,7 @@ class _BlockMixin(object):
         for cache in self._until_caches.values():
             cache.clear()
         self._visits.clear()
+        self._until_visits.clear()
         return True
 
     def _prepare(self, inst):
@@ -1355,6 +1376,25 @@ class _BlockMixin(object):
         op()
 
     # -- run loops -----------------------------------------------------
+    def _warm_entry(self, cache, visits, pc, mode, stops):
+        """Cold-path lookup of *pc*: compile and cache its block once the
+        pc is warm (or another simulator already compiled it); None
+        while it is still cold and should be single-stepped."""
+        seen = visits.get(pc, 0) + 1
+        if seen < WARM_THRESHOLD and not self._memo_warm(pc, mode, stops):
+            visits[pc] = seen
+            return None
+        visits.pop(pc, None)
+        entry = self._compile(pc, mode, stops)
+        self._insert(cache, pc, entry)
+        return entry
+
+    def _count_fallbacks(self, cold, over, uncompilable, resume):
+        self.fallback_cold += cold
+        self.fallback_budget += over
+        self.fallback_uncompilable += uncompilable
+        self.fallback_resume += resume
+
     def run(self):
         simulator = self.simulator
         counting = _TRACER.enabled
@@ -1369,104 +1409,121 @@ class _BlockMixin(object):
         steps = 0
         hits = 0
         misses = 0
+        # Why each single step happened (sim.blocks.fallback.*).
+        cold = over = uncompilable = resume = 0
         try:
             while steps < budget:
                 pc = self.pc
                 if self.npc != pc + 4:
-                    # Resumed mid-delay-slot: restore the straight-line
+                    # Mid-delay-slot (resumed there, or after a
+                    # single-stepped CTI): restore the straight-line
                     # pc/npc invariant blocks are compiled against.
+                    resume += 1
                     self._step_one(count_pcs, counting)
                     steps += 1
                     continue
                 entry = get(pc)
                 if entry is None:
                     misses += 1
-                    seen = visits.get(pc, 0) + 1
-                    if seen < WARM_THRESHOLD \
-                            and not self._memo_warm(pc, mode, None):
-                        visits[pc] = seen
-                        self._step_one(count_pcs, counting)
-                        steps += 1
-                        continue
-                    visits.pop(pc, None)
-                    entry = self._compile(pc, mode, None)
-                    self._insert(cache, pc, entry)
-                    max_len, func = entry
-                    if func is None or max_len > budget - steps:
-                        self._step_one(count_pcs, counting)
-                        steps += 1
+                    entry = self._warm_entry(cache, visits, pc, mode, None)
+                    if entry is None:
+                        cold += 1
+                    elif entry[1] is None:
+                        uncompilable += 1
+                    elif entry[0] > budget - steps:
+                        over += 1
                     else:
-                        steps += func()
+                        steps += entry[1]()
+                        continue
+                    self._step_one(count_pcs, counting)
+                    steps += 1
                     continue
                 # Hot chain: every block exit re-establishes the
                 # npc == pc + 4 invariant, so consecutive cached blocks
                 # dispatch without re-checking it.
                 while True:
                     max_len, func = entry
-                    if func is None or max_len > budget - steps:
-                        self._step_one(count_pcs, counting)
-                        steps += 1
-                        break
-                    hits += 1
-                    steps += func()
-                    if steps >= budget:
-                        break
-                    entry = get(self.pc)
-                    if entry is None:
-                        break
+                    if func is None:
+                        uncompilable += 1
+                    elif max_len > budget - steps:
+                        over += 1
+                    else:
+                        hits += 1
+                        steps += func()
+                        if steps >= budget:
+                            break
+                        entry = get(self.pc)
+                        if entry is None:
+                            break
+                        continue
+                    self._step_one(count_pcs, counting)
+                    steps += 1
+                    break
         finally:
             self.block_hits += hits
             self.block_misses += misses
+            self._count_fallbacks(cold, over, uncompilable, resume)
 
     def run_until(self, stop_pcs, budget):
         """Stop-aware twin of :meth:`run` (see ``_BaseCPU.run_until``
-        for the contract).  Blocks compiled here are truncated so no
-        interior pc is a stop: a sync point can only land between
-        instructions, never inside a fused block."""
+        for the contract), under the same warm rule.  Blocks compiled
+        here are truncated so no interior pc is a stop: a sync point
+        can only land between instructions, never inside a fused
+        block."""
         simulator = self.simulator
         counting = _TRACER.enabled
         count_pcs = simulator.count_pcs
         mode = self._mode(counting)
-        if stop_pcs is not self._until_stops:
+        if stop_pcs is not self._until_stops \
+                and stop_pcs != self._until_stops:
             # The truncation points moved with the stop set; recompile
-            # lazily against the new one.
+            # (and re-warm) lazily against the new one.  An equal set
+            # rebuilt by the caller keeps both.
             self._until_caches.clear()
+            self._until_visits.clear()
             self._until_stops = stop_pcs
         cache = self._until_caches.get(mode)
         if cache is None:
             cache = self._until_caches[mode] = {}
         get = cache.get
+        visits = self._until_visits
         steps = 0
         hits = 0
         misses = 0
+        cold = over = uncompilable = resume = 0
         try:
             while steps < budget:
                 pc = self.pc
                 if self.npc != pc + 4:
-                    self._step_one(count_pcs, counting)
-                    steps += 1
+                    resume += 1
                 else:
                     entry = get(pc)
-                    if entry is None:
+                    cached = entry is not None
+                    if not cached:
                         misses += 1
-                        entry = self._compile(pc, mode, stop_pcs)
-                        self._insert(cache, pc, entry)
-                        cached = False
-                    else:
-                        cached = True
-                    max_len, func = entry
-                    if func is None or max_len > budget - steps:
-                        self._step_one(count_pcs, counting)
-                        steps += 1
+                        entry = self._warm_entry(cache, visits, pc, mode,
+                                                 stop_pcs)
+                    if entry is None:
+                        cold += 1
+                    elif entry[1] is None:
+                        uncompilable += 1
+                    elif entry[0] > budget - steps:
+                        over += 1
                     else:
                         if cached:
                             hits += 1
-                        steps += func()
+                        steps += entry[1]()
+                        if self.pc in stop_pcs:
+                            return steps
+                        continue
+                self._step_one(count_pcs, counting)
+                steps += 1
                 if self.pc in stop_pcs:
                     return steps
         finally:
             self.block_hits += hits
             self.block_misses += misses
+            self._count_fallbacks(cold, over, uncompilable, resume)
         raise SimulationTimeout(self.pc, steps)
 
 

@@ -27,11 +27,17 @@ _C_FLY_HITS = _metrics.counter("sim.flyweight.hits")
 _C_FLY_MISSES = _metrics.counter("sim.flyweight.misses")
 _C_FLY_COMPILES = _metrics.counter("sim.flyweight.compiles")
 _C_FLY_EVICTIONS = _metrics.counter("sim.flyweight.evictions")
-_C_BLK_HITS = _metrics.counter("sim.blocks.hits")
-_C_BLK_MISSES = _metrics.counter("sim.blocks.misses")
-_C_BLK_COMPILES = _metrics.counter("sim.blocks.compiles")
-_C_BLK_EVICTIONS = _metrics.counter("sim.blocks.evictions")
-_C_BLK_INVALIDATIONS = _metrics.counter("sim.blocks.invalidations")
+# Block-engine counters and the CPU attribute each one mirrors; the
+# fallback.* ones say why the engine single-stepped.
+_C_BLOCKS = tuple(
+    (_metrics.counter("sim.blocks." + name), attr) for name, attr in (
+        ("hits", "block_hits"), ("misses", "block_misses"),
+        ("compiles", "block_compiles"), ("evictions", "block_evictions"),
+        ("invalidations", "block_invalidations"),
+        ("fallback.cold", "fallback_cold"),
+        ("fallback.budget", "fallback_budget"),
+        ("fallback.uncompilable", "fallback_uncompilable"),
+        ("fallback.resume", "fallback_resume")))
 _C_RUNS = _metrics.counter("sim.runs")
 
 # Default cap on prepared-op closures per CPU.  Large enough that a
@@ -232,11 +238,7 @@ class Simulator:
             _C_FLY_HITS.inc(fly_hits - self._reported_fly_hits)
             self._reported_fly_hits = fly_hits
         _C_FLY_EVICTIONS.inc(evictions_delta)
-        for counter, attr in ((_C_BLK_HITS, "block_hits"),
-                              (_C_BLK_MISSES, "block_misses"),
-                              (_C_BLK_COMPILES, "block_compiles"),
-                              (_C_BLK_EVICTIONS, "block_evictions"),
-                              (_C_BLK_INVALIDATIONS, "block_invalidations")):
+        for counter, attr in _C_BLOCKS:
             total = getattr(cpu, attr, 0)
             reported = self._reported_blocks.get(attr, 0)
             if total != reported:

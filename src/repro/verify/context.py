@@ -15,6 +15,7 @@ The placement is what turns a bare divergent address into provenance:
 
 import bisect
 
+from repro.cache.store import image_cache_key
 from repro.core.executable import Executable
 
 NEW_TEXT_SECTION = ".text.edited"
@@ -151,6 +152,12 @@ class VerifyContext:
     must surface).
     """
 
+    # The CFGs of the last analysis the verifier itself built from an
+    # original image's bytes: (content key, cfgs).  One image is
+    # typically verified once per tool in a row (a fuzz seed, a
+    # `verify --all` workload), so one entry catches the repeats.
+    _memo = None
+
     def __init__(self, executable, edited_image=None):
         self.executable = executable
         self.arch = executable.arch
@@ -162,31 +169,34 @@ class VerifyContext:
                              else finalized.image)
         self.addr_map = finalized.addr_map
         self.placement = EditPlacement(executable)
-        self._analysis = None
         self._cfgs = None
 
     # ------------------------------------------------------------------
-    @property
-    def analysis(self):
-        """A fresh analysis session over the *original* image.
+    def cfgs(self):
+        """(routine, cfg) for every routine of a fresh analysis of the
+        *original* image.
 
         Independent of the editing session's (possibly tool-mangled)
         state: tools may delete CFGs after instrumenting, and the
         verifier must not trust the producer's own bookkeeping anyway.
+        The memo only ever holds analyses built here from the image's
+        bytes, keyed by the bytes' content hash (computed whether or
+        not the analysis cache is on), so a reused entry is exactly
+        what a fresh analysis would build.  Every consumer only reads
+        the CFGs.
         """
-        if self._analysis is None:
-            executable = Executable(self.original_image)
-            executable.read_contents()
-            self._analysis = executable
-        return self._analysis
-
-    def cfgs(self):
-        """(routine, cfg) for every routine of the fresh analysis."""
         if self._cfgs is None:
-            routines = sorted(self.analysis.all_routines(),
-                              key=lambda r: r.start)
-            self._cfgs = [(routine, routine.control_flow_graph())
-                          for routine in routines]
+            key = image_cache_key(self.original_image)
+            memo = VerifyContext._memo
+            if memo is None or memo[0] != key:
+                executable = Executable(self.original_image)
+                executable.read_contents()
+                routines = sorted(executable.all_routines(),
+                                  key=lambda r: r.start)
+                memo = VerifyContext._memo = (key, [
+                    (routine, routine.control_flow_graph())
+                    for routine in routines])
+            self._cfgs = memo[1]
         return self._cfgs
 
     def edited_addr(self, addr):

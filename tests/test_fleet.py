@@ -200,6 +200,39 @@ def test_shard_death_reroutes_and_respawns(make_fleet):
     assert metrics.counter("fleet.respawns").value >= 1
 
 
+def test_shard_declared_dead_is_stopped_before_respawn(make_fleet,
+                                                       monkeypatch):
+    """A shard that misses one health ping is declared dead while its
+    process still runs: the manager stops that process before the
+    respawn replaces it, instead of leaving it running."""
+    gateway = make_fleet()
+    manager = gateway.manager
+    victim = manager.slots[0]
+    old_process = victim.process
+    generation = victim.generation
+    real_ping = manager._ping
+    missed = []
+
+    def ping_missing_once(slot):
+        if slot is victim and not missed:
+            missed.append(slot.generation)
+            return False
+        return real_ping(slot)
+
+    monkeypatch.setattr(manager, "_ping", ping_missing_once)
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        if victim.alive and victim.generation > generation:
+            break
+        time.sleep(0.1)
+    assert missed == [generation]
+    assert victim.generation == generation + 1, "victim never respawned"
+    assert old_process.poll() is not None, "old generation still running"
+    assert victim.process.pid != old_process.pid
+    with _client(gateway) as client:
+        assert client.run_workload("fib")["exit_code"] == 0
+
+
 def test_hot_restart_zero_failed_requests(make_fleet):
     """The acceptance gate: a rolling replacement of every shard while
     clients hammer the fleet completes with zero failed requests."""

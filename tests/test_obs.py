@@ -268,8 +268,11 @@ def test_report_schema_stability(tmp_path):
         "compiles", "evictions", "hit_rate", "hits", "misses",
     ]
     assert sorted(built["sim"]["blocks"]) == [
-        "compiles", "evictions", "hit_rate", "hits", "invalidations",
-        "misses",
+        "compiles", "evictions", "fallback", "hit_rate", "hits",
+        "invalidations", "misses",
+    ]
+    assert sorted(built["sim"]["blocks"]["fallback"]) == [
+        "budget", "cold", "resume", "uncompilable",
     ]
     from repro.sim import ENGINES
     assert built["sim"]["default_engine"] in ENGINES

@@ -164,10 +164,30 @@ def test_concurrent_same_image_requests_coalesce(make_server, monkeypatch,
                                                  tmp_path):
     """Concurrent requests against one content hash share a single cold
     analysis; the rest restore from the warm summary it left behind."""
+    from repro.core.executable import Executable
+
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "fresh-cache"))
     server = make_server(jobs=4)
     before = _counter("serve.coalesced")
     errors = []
+    # Hold the leader's analysis until the other three requests wait on
+    # it; otherwise a leader that finishes first leaves nothing to
+    # coalesce with.
+    real_read_contents = Executable.read_contents
+    analyses = []
+    analyses_lock = threading.Lock()
+
+    def gated_read_contents(self, *args, **kwargs):
+        with analyses_lock:
+            leader = not analyses
+            analyses.append(self)
+        deadline = time.monotonic() + 30.0
+        while leader and _counter("serve.coalesced") < before + 3 \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return real_read_contents(self, *args, **kwargs)
+
+    monkeypatch.setattr(Executable, "read_contents", gated_read_contents)
 
     def ask_routines():
         try:

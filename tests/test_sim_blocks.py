@@ -21,7 +21,9 @@ from repro.asm import assemble
 from repro.binfmt import link
 from repro.fuzz.gen import plan_to_program
 from repro.sim import Simulator, run_image
+from repro.sim.blocks import WARM_THRESHOLD
 from repro.sim.machine import ENGINES, SimulationTimeout, default_engine
+from repro.sim.syscalls import ExitProgram
 from repro.verify import corpus_names
 from repro.workloads import builder
 
@@ -165,12 +167,15 @@ def test_run_until_stops_on_fused_back_edge():
         stops = frozenset([loop_pc])
         trace = []
         # First call stops before the loop body ever runs; later calls
-        # must pause at every revolution even once the block is warm.
-        for _ in range(6):
+        # must pause at every revolution even once the block is warm
+        # (compiled, fused and truncated at the stop).
+        for _ in range(WARM_THRESHOLD + 4):
             steps = simulator.cpu.run_until(stops, 10_000)
             trace.append((steps, simulator.cpu.pc,
                           simulator.cpu.r[23]))  # %l7
         traces[engine] = trace
+        if engine == "block":
+            assert simulator.cpu.block_compiles > 0
     assert traces["block"] == traces["handwritten"]
     steps, pc, counter = traces["block"][1]
     assert pc == loop_pc and counter == 1
@@ -199,9 +204,11 @@ def test_run_until_counts_pcs_and_categories():
         for engine in ENGINE_PAIR:
             simulator = Simulator(image, engine=engine, count_pcs=True)
             total = 0
-            for _ in range(10):
+            for _ in range(WARM_THRESHOLD + 8):
                 total += simulator.cpu.run_until(frozenset([loop_pc]),
                                                  10_000)
+            if engine == "block":
+                assert simulator.cpu.block_compiles > 0
             profiles[engine] = (total, dict(simulator.pc_counts),
                                 dict(simulator.cpu.category_counts))
     finally:
@@ -212,6 +219,100 @@ def test_run_until_counts_pcs_and_categories():
     assert total > 0
     assert sum(pc_counts.values()) == total
     assert sum(categories.values()) == total
+
+
+def _straight_line():
+    # No back-edge: every pc runs exactly once.
+    body = "\n".join("add %%l7, %d, %%l7" % n for n in range(1, 25))
+    image = sparc_image(body)
+    return image, frozenset([image.entry + 40, image.entry + 80])
+
+
+def test_run_until_one_shot_code_compiles_nothing():
+    image, stops = _straight_line()
+    traces = {}
+    for engine in ENGINE_PAIR:
+        simulator = Simulator(image, engine=engine, count_pcs=True)
+        trace = []
+        with pytest.raises(ExitProgram):
+            while True:
+                steps = simulator.cpu.run_until(stops, 10_000)
+                trace.append((steps, simulator.cpu.pc,
+                              simulator.cpu.r[23]))
+        traces[engine] = (trace, simulator.instructions_executed,
+                          simulator.pc_counts, simulator.output)
+        if engine == "block":
+            cpu = simulator.cpu
+            assert cpu.block_compiles == 0
+            assert cpu.fallback_cold == simulator.instructions_executed
+    assert traces["block"] == traces["handwritten"]
+    assert traces["block"][0][:2] == [(10, image.entry + 40, 55),
+                                      (10, image.entry + 80, 210)]
+
+
+def test_run_until_binds_memoized_blocks_without_warm_up():
+    image, loop_pc = _counting_loop()
+    stops = frozenset([loop_pc])
+    first = Simulator(image, engine="block")
+    for _ in range(WARM_THRESHOLD + 2):
+        first.cpu.run_until(stops, 10_000)
+    assert first.cpu.block_compiles > 0
+    # A second simulator over the same image and an equal stop set: the
+    # entry block (run once above, so never compiled) is still cold,
+    # but the loop block binds from the image memo on its first visit.
+    second = Simulator(image, engine="block")
+    cpu = second.cpu
+    cpu.run_until(frozenset(stops), 10_000)
+    assert (cpu.block_compiles, cpu.fallback_cold) == (0, 1)
+    # One revolution of the loop: every block of it binds at once.
+    cpu.run_until(stops, 10_000)
+    assert cpu.block_compiles > 0 and cpu.fallback_cold == 1
+    assert cpu.pc == loop_pc and cpu.r[23] == 1
+
+
+def _single_steps(cpu):
+    # Every single step either hits or fills the prepared-op flyweight.
+    return cpu.fly_hits + cpu.compiles
+
+
+def _fallbacks(cpu):
+    return {reason: getattr(cpu, "fallback_" + reason)
+            for reason in ("cold", "budget", "uncompilable", "resume")}
+
+
+def test_fallback_reasons_sum_to_single_steps():
+    image, loop_pc = _counting_loop()
+    # run(): cold warm-up visits, then blocks that outgrow the budget.
+    simulator = Simulator(image, engine="block", max_steps=500)
+    with pytest.raises(SimulationTimeout):
+        simulator.run()
+    cpu = simulator.cpu
+    reasons = _fallbacks(cpu)
+    assert reasons["cold"] > 0 and reasons["budget"] > 0
+    assert sum(reasons.values()) == _single_steps(cpu) > 0
+    # run_until(): cold visits, plus mid-delay-slot resumes after a stop
+    # on a delay slot (`b loop` at loop_pc + 16, its slot at + 20).
+    simulator = Simulator(image, engine="block")
+    cpu = simulator.cpu
+    stops = frozenset([loop_pc, loop_pc + 20])
+    for _ in range(2 * WARM_THRESHOLD + 4):
+        cpu.run_until(stops, 10_000)
+    reasons = _fallbacks(cpu)
+    assert reasons["cold"] > 0 and reasons["resume"] > 0
+    assert cpu.block_compiles > 0
+    assert sum(reasons.values()) == _single_steps(cpu)
+    # The counters reach the registry (and so `repro stats`).
+    obs.reset()
+    obs.enable()
+    try:
+        simulator._record_telemetry()
+        built = obs.report.build_report()
+    finally:
+        obs.disable()
+        obs.reset()
+    for reason, count in reasons.items():
+        assert built["counters"]["sim.blocks.fallback." + reason] == count
+    assert built["sim"]["blocks"]["fallback"] == reasons
 
 
 # ----------------------------------------------------------------------

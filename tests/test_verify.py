@@ -7,7 +7,8 @@ from repro.sim.machine import (SimulationError, SimulationTimeout, Simulator,
 from repro.verify import (VerifyResult, corpus_names, instrument_workload,
                           verify_session, verify_workload)
 from repro.verify.context import Finding, VerifyContext
-from repro.verify.inject import inject_stale_dispatch_entry, run_fault_suite
+from repro.verify.inject import (clone_image, inject_stale_dispatch_entry,
+                                 run_fault_suite)
 from repro.verify.lints import run_lints
 from repro.workloads import builder
 
@@ -190,3 +191,39 @@ def test_clean_verdict_is_memoized(fib_session, tmp_path, monkeypatch):
 def test_memoized_result_shape():
     result = VerifyResult("x", memoized=True)
     assert result.ok and result.syncs == 0 and result.errors == []
+
+
+# ----------------------------------------------------------------------
+# The verifier's analysis of an original image
+# ----------------------------------------------------------------------
+
+def test_verifier_analyzes_each_original_image_once(monkeypatch):
+    from repro.obs import metrics
+    from repro.tools import instrument_image
+
+    monkeypatch.setenv("REPRO_CACHE", "off")  # every analysis builds CFGs
+    monkeypatch.setattr(VerifyContext, "_memo", None)
+    builds = metrics.counter("cfg.builds")
+    image = builder.build_image("fib")
+    sessions = [instrument_image(image, tool) for tool in ("qpt", "sfi",
+                                                           "elsie")]
+    deltas = []
+    for session in sessions:
+        before = builds.value
+        result = verify_session(session.executable, session.edited_image,
+                                configure_edited=session.configure_edited,
+                                use_memo=False)
+        assert result.ok
+        deltas.append(builds.value - before)
+    assert deltas[0] > 0 and deltas[1:] == [0, 0]
+    # A content change misses the memo and is analyzed afresh, and so is
+    # the first image again once the changed one has displaced it.
+    changed = clone_image(image)
+    rodata = changed.sections[".rodata"]
+    rodata.data[0] ^= 0x20
+    for original in (changed, image):
+        session = instrument_image(original, "qpt")
+        before = builds.value
+        assert verify_session(session.executable, session.edited_image,
+                              use_memo=False).ok
+        assert builds.value - before > 0
